@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 from .errors import InvalidParams, ParseError, ValidationError
 from .filtering import FilterConfig, get_functional
 from .model import LinearModelParams, ModelSpec, make_linear_model
-from .sde import FrozenRunConfig, SdeConfig, suggest_micro_substeps
+from .sde import STABILITY_CAP, FrozenRunConfig, SdeConfig, suggest_micro_substeps
 
 COMMANDS = (
     "simulate",
@@ -142,18 +142,14 @@ def _section(doc: dict, name: str, allowed: dict):
     return out
 
 
-def _number(kinds=(int, float)):
-    return kinds
-
-
 _MODEL_KEYS = {"kind": (str,), "params": (dict,), "n": (int,), "m": (int,), "l": (int,),
                "x0": (list,), "z0": (list,)}
-_SDE_KEYS = {"epsilon": _number(), "T": _number(), "dt_macro": _number(),
+_SDE_KEYS = {"epsilon": (int, float), "T": (int, float), "dt_macro": (int, float),
              "micro_substeps": (int,), "N": (int,), "seed": (int,),
-             "delta_eps": _number((int, float, type(None)))}
-_FROZEN_KEYS = {"M": (int,), "dt": _number(), "burn_in": _number(),
-                "avg_window": _number(), "seed": (int,), "x": (list,), "mu_mean": (list,)}
-_FILTER_KEYS = {"Nf": (int,), "resample_threshold": _number(), "functional": (str,),
+             "delta_eps": (int, float, type(None))}
+_FROZEN_KEYS = {"M": (int,), "dt": (int, float), "burn_in": (int, float),
+                "avg_window": (int, float), "seed": (int,), "x": (list,), "mu_mean": (list,)}
+_FILTER_KEYS = {"Nf": (int,), "resample_threshold": (int, float), "functional": (str,),
                 "p": (int,), "kind": (str,), "reference_particle": (int,)}
 _SWEEP_KEYS = {"eps_grid": (list,), "mc_reps": (int,), "p_orders": (list,),
                "functional": (str,)}
@@ -359,7 +355,7 @@ def parse_config(text: str) -> RunConfig:
             effective = sde.dt_macro / sde.micro_substeps / sde.epsilon * model.params.gamma
             raise ValidationError(
                 f"stability cap exceeded: (dt_macro/micro_substeps)/epsilon*gamma"
-                f" = {effective:.3g} > 0.25; set micro_substeps >= {needed}"
+                f" = {effective:.3g} > {STABILITY_CAP}; set micro_substeps >= {needed}"
             )
 
     return RunConfig(

@@ -35,6 +35,7 @@ from .errors import (
 )
 from .filtering import (
     FilterConfig,
+    _filter_slow_increments,
     filter_discrepancy,
     generate_observations,
     run_filter,
@@ -329,6 +330,7 @@ def filter_error_sweep(
                 dt=cfg.dt_macro,
                 seed_v=derive_seed(seed0, "sweep", "obs", float(eps).hex(), rep),
             )
+            dw_slow = _filter_slow_increments(model, fcfg, cfg)
             runs = [
                 run_filter(
                     arm,
@@ -337,6 +339,7 @@ def filter_error_sweep(
                     obs,
                     fcfg,
                     cfg,
+                    _dw_slow=dw_slow,
                 )
                 for arm in arms
             ]

@@ -244,6 +244,13 @@ def _record_pi(logw: np.ndarray, f_vals: np.ndarray) -> tuple:
     return pi, ess, u, s, mx
 
 
+def _filter_slow_increments(model: ModelSpec, cfg: FilterConfig, sde_cfg: SdeConfig):
+    return normal_increments(
+        sde_cfg.seed, FILTER_SLOW_LABEL, sde_cfg.n_steps, cfg.Nf, model.m,
+        math.sqrt(sde_cfg.dt_macro),
+    )
+
+
 def run_filter(
     signal_kind: str,
     model: ModelSpec,
@@ -252,6 +259,8 @@ def run_filter(
     cfg: FilterConfig,
     sde_cfg: SdeConfig,
     record_weights: bool = False,
+    *,
+    _dw_slow: Optional[np.ndarray] = None,
 ) -> FilterTrajectory:
     """Bootstrap particle filter for the multiscale or averaged signal.
 
@@ -261,6 +270,9 @@ def run_filter(
     systematic resampling when the effective sample size drops below
     threshold * Nf, and the running log of the mean unnormalized weight is
     carried across resets.
+
+    ``_dw_slow`` is private: a sweep job draws the slow particle block once
+    with :func:`_filter_slow_increments` and hands it to both filter arms.
     """
 
     if signal_kind not in ("multiscale", "averaged"):
@@ -287,9 +299,7 @@ def run_filter(
     f_func = get_functional(cfg.functional)
     nf = cfg.Nf
     x = np.tile(np.asarray(model.x0, dtype=float).reshape(1, -1), (nf, 1))
-    dw_slow = normal_increments(
-        sde_cfg.seed, FILTER_SLOW_LABEL, n_steps, nf, model.m, math.sqrt(dt)
-    )
+    dw_slow = _filter_slow_increments(model, cfg, sde_cfg) if _dw_slow is None else _dw_slow
     if multiscale:
         z = np.tile(np.asarray(model.z0, dtype=float).reshape(1, -1), (nf, 1))
         ksub = sde_cfg.micro_substeps

@@ -230,10 +230,24 @@ def _noise_tag(cfg: SdeConfig, labels: Sequence[str]) -> dict:
     }
 
 
+def _slow_increments(model: ModelSpec, cfg: SdeConfig) -> np.ndarray:
+    return normal_increments(
+        cfg.seed, SLOW_LABEL, cfg.n_steps, cfg.N, model.m, math.sqrt(cfg.dt_macro)
+    )
+
+
 def simulate_slow_fast(
-    model: ModelSpec, cfg: SdeConfig, check_stability: bool = True
+    model: ModelSpec,
+    cfg: SdeConfig,
+    check_stability: bool = True,
+    *,
+    _dw_slow: Optional[np.ndarray] = None,
 ) -> PathEnsemble:
-    """Run the coupled slow/fast particle system on the macro grid."""
+    """Run the coupled slow/fast particle system on the macro grid.
+
+    ``_dw_slow`` is private: :func:`coupled_pair` passes the slow block it
+    already drew, which is exactly the one drawn here otherwise.
+    """
 
     if check_stability:
         validate_stability(model, cfg)
@@ -246,7 +260,7 @@ def simulate_slow_fast(
 
     x = _tile_state(model.x0, cfg.N)
     z = _tile_state(model.z0, cfg.N)
-    dw_slow = normal_increments(cfg.seed, SLOW_LABEL, n_steps, cfg.N, model.m, math.sqrt(dt))
+    dw_slow = _slow_increments(model, cfg) if _dw_slow is None else _dw_slow
     dw_fast = normal_increments(
         cfg.seed, FAST_LABEL, n_steps * ksub, cfg.N, model.l, math.sqrt(dts)
     )
@@ -332,18 +346,21 @@ def simulate_averaged(
     model: ModelSpec,
     drift: Callable[[np.ndarray, MeasureSummary], np.ndarray],
     cfg: SdeConfig,
+    *,
+    _dw_slow: Optional[np.ndarray] = None,
 ) -> PathEnsemble:
     """Run the averaged slow system driven by the supplied effective drift.
 
     Uses the same slow-noise streams as :func:`simulate_slow_fast` under the
-    same seed, so the two runs are coupled pathwise.
+    same seed, so the two runs are coupled pathwise. ``_dw_slow`` is private,
+    as in :func:`simulate_slow_fast`.
     """
 
     n_steps = cfg.n_steps
     dt = cfg.dt_macro
     times = np.arange(n_steps + 1) * dt
     x = _tile_state(model.x0, cfg.N)
-    dw_slow = normal_increments(cfg.seed, SLOW_LABEL, n_steps, cfg.N, model.m, math.sqrt(dt))
+    dw_slow = _slow_increments(model, cfg) if _dw_slow is None else _dw_slow
 
     slow_clouds = [ParticleCloud(x)]
     for k in range(n_steps):
@@ -366,9 +383,16 @@ def coupled_pair(
     drift: Callable[[np.ndarray, MeasureSummary], np.ndarray],
     cfg: SdeConfig,
 ):
-    """Slow/fast run and averaged run under identical slow increments."""
+    """Slow/fast run and averaged run under identical slow increments.
 
-    return simulate_slow_fast(model, cfg), simulate_averaged(model, drift, cfg)
+    The slow block is drawn once and handed to both runs.
+    """
+
+    dw_slow = _slow_increments(model, cfg)
+    return (
+        simulate_slow_fast(model, cfg, _dw_slow=dw_slow),
+        simulate_averaged(model, drift, cfg, _dw_slow=dw_slow),
+    )
 
 
 def simulate_auxiliary(model: ModelSpec, slow_path: PathEnsemble, cfg: SdeConfig) -> PathEnsemble:

@@ -7,6 +7,14 @@ seed's SeedSequence. The counter-based Philox generator sits underneath,
 so streams are statistically independent, cheap to create, and stable:
 adding particles, changing thread counts, or reordering work never
 perturbs an existing stream.
+
+``stream``, ``seed_sequence`` and ``derive_seed`` are the scalar reference.
+``normal_increments`` draws the same numbers for a whole block without
+building a SeedSequence or a Philox per stream: it derives every stream's
+Philox key in one vectorised pass of numpy's SeedSequence entropy mix
+(documented as stable) and re-keys a single generator per stream. The
+stream layout is unchanged; each (particle, component) stream is the one
+``stream(seed, label, particle, component)`` returns.
 """
 
 from __future__ import annotations
@@ -18,16 +26,33 @@ import numpy as np
 # 64-bit mask; SeedSequence entropy words are arbitrary-size ints but we
 # keep everything inside u64 so digests serialize predictably.
 _U64 = (1 << 64) - 1
+_U32 = (1 << 32) - 1
+
+# numpy's SeedSequence hash mix (numpy/random/bit_generator.pyx). The pool
+# holds four uint32 words; the hash constant advances once per hashmix call,
+# so it depends only on a word's position in the entropy, never on its value.
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 
 
-def _label_words(label) -> list[int]:
+def _label_digest(label) -> bytes:
     if isinstance(label, (int, np.integer)):
         payload = b"i:" + int(label).to_bytes(16, "little", signed=True)
     elif isinstance(label, str):
         payload = b"s:" + label.encode("utf-8")
     else:
         raise TypeError(f"stream labels must be str or int, got {type(label).__name__}")
-    digest = hashlib.sha256(payload).digest()
+    return hashlib.sha256(payload).digest()
+
+
+def _label_words(label) -> list[int]:
+    digest = _label_digest(label)
     return [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
 
 
@@ -48,6 +73,112 @@ def derive_seed(master_seed: int, *labels) -> int:
     return int(seed_sequence(master_seed, *labels).generate_state(1, np.uint64)[0])
 
 
+# ----- vectorised SeedSequence -> Philox key derivation -----
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k < count: the k-th hash call xors with
+    entry k and multiplies by entry k + 1."""
+    out = np.empty(count, dtype=np.uint32)
+    value = init
+    for k in range(count):
+        out[k] = value
+        value = (value * mult) & _U32
+    return out
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray, k: int) -> np.ndarray:
+    value = (value ^ consts[k]) * consts[k + 1]
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _mix_pool(columns: list) -> list:
+    """SeedSequence's entropy pool for uint32 entropy given as columns.
+
+    Column c holds word c of every row; a column of shape (1,) is shared by
+    all rows, so a common entropy prefix is mixed once and broadcast when the
+    first per-row word arrives. Returns the four pool words.
+    """
+    calls = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(len(columns) - _POOL_SIZE, 0)
+    consts = _hash_constants(_INIT_A, _MULT_A, calls + 1)
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [
+        _hashmix(columns[i] if i < len(columns) else zero, consts, i) for i in range(_POOL_SIZE)
+    ]
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, k))
+                k += 1
+    for word in columns[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts, k))
+            k += 1
+    return pool
+
+
+def _pool_keys(pool: list) -> np.ndarray:
+    """generate_state(2, uint64) of each row's pool, as (rows, 2) uint64."""
+    consts = _hash_constants(_INIT_B, _MULT_B, _POOL_SIZE + 1)
+    words = [_hashmix(pool[d], consts, d).astype(np.uint64) for d in range(_POOL_SIZE)]
+    shift = np.uint64(32)
+    return np.stack([words[0] | (words[1] << shift), words[2] | (words[3] << shift)], axis=-1)
+
+
+def _uint32_words(rows: np.ndarray) -> tuple:
+    """SeedSequence's uint32 form of (R, K) u64 entropy rows: each word's low
+    half, then its high half only when that is nonzero. Returns the (R, 2K)
+    halves and the mask of the ones kept."""
+    shape = (rows.shape[0], 2 * rows.shape[1])
+    low, high = rows & np.uint64(_U32), rows >> np.uint64(32)
+    halves = np.stack([low, high], axis=-1).astype(np.uint32).reshape(shape)
+    keep = np.stack([np.ones_like(high, dtype=bool), high != 0], axis=-1).reshape(shape)
+    return halves, keep
+
+
+def _philox_keys(prefix, rows: np.ndarray) -> np.ndarray:
+    """Philox key of SeedSequence(prefix + row) for every row, as (rows, 2) uint64.
+
+    ``prefix`` is a sequence of u64 entropy ints shared by all rows and ``rows``
+    a (R, K) uint64 array. Equals ``SeedSequence(entropy).generate_state(2,
+    np.uint64)`` row by row, including rows whose u64 words have a zero high
+    half and so enter the pool as one uint32 word: rows are grouped by their
+    uint32 length and each group is mixed on its own.
+    """
+    words, keep = _uint32_words(np.array(prefix, dtype=np.uint64).reshape(1, -1))
+    shared = list(words[keep][:, None])
+    halves, keep = _uint32_words(rows)
+    lengths = keep.sum(axis=1)
+    keys = np.empty((len(rows), 2), dtype=np.uint64)
+    for length in np.unique(lengths):
+        sel = lengths == length
+        group = halves[sel][keep[sel]].reshape(np.count_nonzero(sel), length).T.copy()
+        keys[sel] = _pool_keys(_mix_pool(shared + list(group)))
+    return keys
+
+
+# Per-index label words, (n, 4) u64: row i holds _label_words(i), a pure
+# function of i, so sharing the table cannot change a result. Grown on demand
+# to the largest ensemble seen; a racing grow only repeats work.
+_INDEX_WORDS = np.zeros((0, 4), dtype=np.uint64)
+
+
+def _index_words(n: int) -> np.ndarray:
+    global _INDEX_WORDS
+    table = _INDEX_WORDS
+    if table.shape[0] < n:
+        digests = b"".join(_label_digest(i) for i in range(table.shape[0], n))
+        table = np.concatenate([table, np.frombuffer(digests, dtype="<u8").reshape(-1, 4)])
+        _INDEX_WORDS = table
+    return table[:n]
+
+
 def normal_increments(
     master_seed: int,
     label: str,
@@ -60,11 +191,21 @@ def normal_increments(
 
     One stream per (particle, component) under the given label; particle i's
     draws are a fixed function of (seed, label, i, j) alone, so growing the
-    ensemble leaves earlier particles' noise untouched.
+    ensemble leaves earlier particles' noise untouched. Column (i, j) equals
+    ``stream(master_seed, label, i, j).normal(0, scale, steps)`` byte for byte.
     """
     out = np.empty((steps, count, dims), dtype=np.float64)
-    for i in range(count):
-        for j in range(dims):
-            gen = stream(master_seed, label, i, j)
-            out[:, i, j] = gen.normal(0.0, scale, size=steps)
+    words = _index_words(max(count, dims))
+    rows = np.concatenate(
+        [np.repeat(words[:count], dims, axis=0), np.tile(words[:dims], (count, 1))], axis=1
+    )
+    keys = _philox_keys([int(master_seed) & _U64, *_label_words(label)], rows)
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    # A fresh Philox state: counter 0, empty buffer. Only the key changes.
+    state = bitgen.state
+    for r in range(count * dims):
+        state["state"]["key"] = keys[r]
+        bitgen.state = state
+        out[:, r // dims, r % dims] = gen.normal(0.0, scale, size=steps)
     return out
