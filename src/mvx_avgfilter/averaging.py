@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -33,6 +32,7 @@ from . import SCHEMA_VERSION
 from .measure import MeasureSummary, summarize_points
 from .model import LinearModelParams, ModelSpec
 from .sde import FrozenRunConfig, simulate_frozen
+from .serialize import atomic_write_text
 from .streams import derive_seed
 
 __all__ = [
@@ -158,9 +158,14 @@ def analytic_bbar_linear(params: LinearModelParams, x, mu_mean) -> np.ndarray:
     return p.a11 * x + p.a12 * mu_mean + p.a13 * m
 
 
-def _window_clouds(path, cfg: FrozenRunConfig):
-    start = int(round(cfg.burn_in / cfg.dt))
-    return path.fast_clouds[start:]
+# Window steps per b1 call in estimate_bbar: a call per step costs Python
+# overhead on every step, one call for the whole window holds temporaries as
+# large as the stored window.
+_B1_BLOCK = 64
+
+
+def _window_start(cfg: FrozenRunConfig) -> int:
+    return int(round(cfg.burn_in / cfg.dt))
 
 
 def estimate_bbar(
@@ -173,11 +178,12 @@ def estimate_bbar(
             f"avg_window={cfg.avg_window} shorter than 10*dt={10.0 * cfg.dt}"
         )
     path = simulate_frozen(model, x, mu, cfg)
-    x_tiled = path.slow_clouds[0].points
-    series = np.stack(
+    start = _window_start(cfg)
+    cuts = range(_B1_BLOCK, len(path.times) - start, _B1_BLOCK)
+    series = np.concatenate(
         [
-            np.mean(np.asarray(model.b1(x_tiled, mu, c.points)), axis=0)
-            for c in _window_clouds(path, cfg)
+            np.mean(np.asarray(model.b1(xb, mu, zb)), axis=1)
+            for xb, zb in zip(np.split(path.slow[start:], cuts), np.split(path.fast[start:], cuts))
         ]
     )
     n_w, n_dim = series.shape
@@ -195,9 +201,9 @@ def invariant_moments(
     """Mean and second moment of the frozen invariant law, time-averaged."""
 
     path = simulate_frozen(model, x, mu, cfg)
-    clouds = _window_clouds(path, cfg)
-    means = np.stack([c.points.mean(axis=0) for c in clouds])
-    seconds = np.array([float(np.einsum("ij,ij->", c.points, c.points)) / c.n for c in clouds])
+    window = path.fast[_window_start(cfg):]
+    means = np.stack([z.mean(axis=0) for z in window])
+    seconds = np.array([float(np.einsum("ij,ij->", z, z)) / len(z) for z in window])
     mean = np.empty(means.shape[1])
     se_mean = np.empty(means.shape[1])
     for j in range(means.shape[1]):
@@ -250,7 +256,7 @@ def ergodic_decay_profile(
             )
             tail = simulate_frozen(model, x, mu, tail_cfg)
             target = np.stack(
-                [c.points.mean(axis=0) for c in _window_clouds(tail, tail_cfg)]
+                [z.mean(axis=0) for z in tail.fast[_window_start(tail_cfg):]]
             ).mean(axis=0)
     target = np.asarray(target, dtype=float).reshape(-1)
 
@@ -258,12 +264,9 @@ def ergodic_decay_profile(
     if idx.max() >= len(path.times):
         raise InvalidParams("t_grid extends past the simulated horizon")
     deviations = np.array(
-        [
-            float(np.linalg.norm(path.fast_clouds[i].points.mean(axis=0) - target))
-            for i in idx
-        ]
+        [float(np.linalg.norm(path.fast[i].mean(axis=0) - target)) for i in idx]
     )
-    final = path.fast_clouds[-1].points
+    final = path.fast[-1]
     ens_var = float(np.mean(np.var(final, axis=0)))
     noise_floor = 3.0 * math.sqrt(ens_var / cfg.M)
 
@@ -336,13 +339,6 @@ class AveragedDriftOracle:
 
     # -- cell handling --
 
-    def _key(self, x_row: np.ndarray, mu: MeasureSummary) -> tuple:
-        q = self.quant
-        kx = np.rint(x_row / q).astype(int)
-        km = np.rint(mu.mean / q).astype(int)
-        ks = int(np.rint(mu.second_moment / q))
-        return tuple(int(v) for v in kx) + tuple(int(v) for v in km) + (ks,)
-
     def _cell_inputs(self, key: tuple):
         n = self.model.n
         kx = np.array(key[:n], dtype=float) * self.quant
@@ -367,20 +363,37 @@ class AveragedDriftOracle:
         elif self.mode == "user":
             out = np.asarray(self.user_fn(rows, mu), dtype=float)
         else:
-            out = np.empty_like(rows)
-            for i in range(rows.shape[0]):
-                key = self._key(rows[i], mu)
-                with self._lock:
-                    cached = self._cache.get(key)
-                    if cached is not None:
-                        self.stats["hits"] += 1
-                if cached is None:
-                    value = self._estimate_cell(key)
-                    with self._lock:
-                        cached = self._cache.setdefault(key, value)
-                        self.stats["misses"] += 1
-                out[i] = cached
+            out = self._lookup(rows, mu)
         return out[0] if single else out
+
+    def _lookup(self, rows: np.ndarray, mu: MeasureSummary) -> np.ndarray:
+        """Cached cell values for every row, one cache lookup per distinct cell.
+
+        Each newly estimated cell counts one miss; every other row counts a
+        hit, so hits + misses equals the number of rows.
+        """
+        q = self.quant
+        mu_key = tuple(np.rint(mu.mean / q).astype(int).tolist())
+        mu_key += (int(np.rint(mu.second_moment / q)),)
+        row_keys, inverse = np.unique(
+            np.rint(rows / q).astype(int), axis=0, return_inverse=True
+        )
+        counts = np.bincount(inverse.reshape(-1), minlength=len(row_keys)).tolist()
+        values = np.empty((len(row_keys), rows.shape[1]))
+        for j, row_key in enumerate(row_keys.tolist()):
+            key = tuple(row_key) + mu_key
+            with self._lock:
+                cached = self._cache.get(key)
+                if cached is not None:
+                    self.stats["hits"] += counts[j]
+            if cached is None:
+                value = self._estimate_cell(key)
+                with self._lock:
+                    cached = self._cache.setdefault(key, value)
+                    self.stats["misses"] += 1
+                    self.stats["hits"] += counts[j] - 1
+            values[j] = cached
+        return values[inverse.reshape(-1)]
 
     # -- persistence --
 
@@ -407,17 +420,7 @@ class AveragedDriftOracle:
             "frozen_cfg": dataclasses.asdict(self.frozen_cfg),
             "entries": entries,
         }
-        text = json.dumps(doc, indent=1)
-        path = os.fspath(path)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        atomic_write_text(os.fspath(path), json.dumps(doc, indent=1))
 
     def load_cache(self, path) -> None:
         with open(path, "r", encoding="utf-8") as fh:

@@ -35,6 +35,7 @@ from .serialize import (
     ensemble_rows,
     filter_json,
     filter_rows,
+    frozen_json,
     frozen_rows,
     sweep_json,
     sweep_rows,
@@ -112,10 +113,7 @@ def run_command(cfg: RunConfig, threads: int = 1) -> RunManifest:
             "frozen",
             ["t", "particle"] + [f"z{j}" for j in range(model.m)],
             frozen_rows(ens),
-            {
-                "times": [float(t) for t in ens.times],
-                "fast": [c.points.tolist() for c in ens.fast_clouds],
-            },
+            frozen_json(ens),
         )
 
     elif cfg.command == "bbar":

@@ -134,14 +134,10 @@ def sup_path_error(a: PathEnsemble, b: PathEnsemble) -> np.ndarray:
     """Per-particle sup over the grid of |X_a - X_b| for two coupled runs."""
     if len(a.times) != len(b.times) or not np.allclose(a.times, b.times, atol=1e-12):
         raise GridMismatch("paths live on different time grids")
-    first = a.slow_clouds[0].points
-    worst = np.zeros(first.shape[0])
-    for ca, cb in zip(a.slow_clouds, b.slow_clouds):
-        if ca.points.shape != cb.points.shape:
-            raise GridMismatch("slow clouds have mismatched shapes")
-        d = ca.points - cb.points
-        np.maximum(worst, np.sqrt((d * d).sum(axis=1)), out=worst)
-    return worst
+    if a.slow.shape != b.slow.shape:
+        raise GridMismatch("slow paths have mismatched shapes")
+    d = a.slow - b.slow
+    return np.sqrt((d * d).sum(axis=2)).max(axis=0)
 
 
 def _gamma_estimate(model: ModelSpec) -> float:

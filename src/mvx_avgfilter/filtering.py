@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedModel,
     WeightCollapse,
 )
-from .measure import MeasureSummary, summarize, systematic_resample_indices
+from .measure import MeasureSummary, summarize_points, systematic_resample_indices
 from .model import LinearModelParams, ModelSpec, make_linear_model
 from .sde import (
     PathEnsemble,
@@ -158,6 +158,11 @@ def get_functional(name: str) -> Callable[[np.ndarray, MeasureSummary], np.ndarr
 # ===== observations =====
 
 
+def _uniform_summary(points: np.ndarray) -> MeasureSummary:
+    """Equal-weight summary with :func:`summarize`'s arithmetic, no cloud copy."""
+    return summarize_points(points, np.full(points.shape[0], 1.0 / points.shape[0]))
+
+
 def generate_observations(
     model: ModelSpec,
     signal: PathEnsemble,
@@ -172,7 +177,7 @@ def generate_observations(
     of the simulation step).
     """
 
-    n_particles = signal.slow_clouds[0].n
+    n_particles = signal.slow.shape[1]
     if not (0 <= reference_particle < n_particles):
         raise IndexOutOfRange(
             f"reference particle {reference_particle} outside [0, {n_particles})"
@@ -192,17 +197,17 @@ def generate_observations(
 
     times = signal.times[::stride]
     n_obs = len(times) - 1
-    slow_trace = [summarize(signal.slow_clouds[k * stride]) for k in range(n_obs + 1)]
+    slow_trace = [_uniform_summary(points) for points in signal.slow[::stride]]
     fast_trace = None
-    if signal.fast_clouds is not None:
-        fast_trace = [summarize(signal.fast_clouds[k * stride]) for k in range(n_obs + 1)]
+    if signal.fast is not None:
+        fast_trace = [_uniform_summary(points) for points in signal.fast[::stride]]
 
-    h0 = np.asarray(model.h(signal.slow_clouds[0].points[reference_particle], slow_trace[0]))
+    h0 = np.asarray(model.h(signal.slow[0, reference_particle], slow_trace[0]))
     l_obs = h0.shape[-1]
     dv = normal_increments(seed_v, OBSERVATION_LABEL, n_obs, 1, l_obs, math.sqrt(dt))[:, 0, :]
     increments = np.empty((n_obs, l_obs))
     for k in range(n_obs):
-        x_ref = signal.slow_clouds[k * stride].points[reference_particle]
+        x_ref = signal.slow[k * stride, reference_particle]
         h_k = np.asarray(model.h(x_ref, slow_trace[k]))
         increments[k] = dv[k] + h_k * dt
     return ObservationPath(
@@ -439,14 +444,13 @@ def martingale_check(
             sde_cfg, N=size, seed=derive_seed(sde_cfg.seed, "mart-chunk", c)
         )
         path = simulate_slow_fast(model, cfg_c)
-        points0 = path.slow_clouds[0].points
-        h_probe = np.asarray(model.h(points0, summarize(path.slow_clouds[0])))
+        h_probe = np.asarray(model.h(path.slow[0], _uniform_summary(path.slow[0])))
         l_obs = h_probe.shape[-1]
         dv = normal_increments(cfg_c.seed, "mart-v", n_obs, size, l_obs, math.sqrt(dt))
         acc = np.zeros(size)
         for j in range(n_obs):
-            cloud = path.slow_clouds[j * stride]
-            h_j = np.asarray(model.h(cloud.points, summarize(cloud)), dtype=float)
+            points = path.slow[j * stride]
+            h_j = np.asarray(model.h(points, _uniform_summary(points)), dtype=float)
             acc -= (h_j * dv[j]).sum(axis=1) + 0.5 * (h_j * h_j).sum(axis=1) * dt
         vals = np.exp(acc)
         total += float(vals.sum())

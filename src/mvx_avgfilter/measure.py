@@ -102,7 +102,8 @@ def summarize_points(points: np.ndarray, weights: Optional[np.ndarray] = None) -
     Used in integrator inner loops; no integration handle is attached.
     """
     if weights is None:
-        mean = points.mean(axis=0)
+        # ndarray.mean's own arithmetic, without its Python wrapper
+        mean = np.add.reduce(points, axis=0) / points.shape[0]
         second = float(np.einsum("ij,ij->", points, points) / points.shape[0])
     else:
         mean = weights @ points

@@ -102,26 +102,45 @@ class FrozenRunConfig:
 
 @dataclass(eq=False)
 class PathEnsemble:
-    """Time grid plus per-time particle clouds for one simulation.
+    """Time grid plus the particle states of one simulation.
 
-    ``fast_clouds`` is None for averaged runs, ``aux_clouds`` is populated
-    only by :func:`simulate_auxiliary`.  ``noise_tag`` records the stream
-    identifiers needed to regenerate the driving increments bit-exactly.
+    ``slow``, ``fast`` and ``aux`` are read-only ``(steps+1, N, d)`` float
+    arrays, one row per grid time.  ``fast`` is None for averaged runs and
+    ``aux`` is set only by :func:`simulate_auxiliary`.  ``slow_clouds``,
+    ``fast_clouds`` and ``aux_clouds`` build one :class:`ParticleCloud` per
+    time on demand, for callers that need weighted clouds.  ``noise_tag``
+    records the stream identifiers needed to regenerate the driving
+    increments bit-exactly.
     """
 
     times: np.ndarray
-    slow_clouds: list
-    fast_clouds: Optional[list] = None
-    aux_clouds: Optional[list] = None
+    slow: np.ndarray
+    fast: Optional[np.ndarray] = None
+    aux: Optional[np.ndarray] = None
     noise_tag: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.times) != len(self.slow_clouds):
-            raise InvalidParams("times and slow_clouds must have equal length")
-        if self.fast_clouds is not None and len(self.fast_clouds) != len(self.times):
-            raise InvalidParams("fast_clouds length must match times")
-        if self.aux_clouds is not None and len(self.aux_clouds) != len(self.times):
-            raise InvalidParams("aux_clouds length must match times")
+        for name in ("slow", "fast", "aux"):
+            arr = getattr(self, name)
+            if arr is None:
+                continue
+            if len(arr) != len(self.times):
+                raise InvalidParams(f"{name} length must match times")
+            view = np.asarray(arr).view()
+            view.flags.writeable = False
+            setattr(self, name, view)
+
+    @property
+    def slow_clouds(self) -> list:
+        return [ParticleCloud(p) for p in self.slow]
+
+    @property
+    def fast_clouds(self) -> Optional[list]:
+        return None if self.fast is None else [ParticleCloud(p) for p in self.fast]
+
+    @property
+    def aux_clouds(self) -> Optional[list]:
+        return None if self.aux is None else [ParticleCloud(p) for p in self.aux]
 
 
 def estimate_dissipativity(
@@ -206,7 +225,7 @@ def _apply_sigma(sig, dw: np.ndarray) -> np.ndarray:
 
 
 def _check_finite(arr: np.ndarray, what: str, step: int, time: float) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise Instability(
             f"{what} became non-finite at step {step} (t={time:.6g}); "
             "reduce dt_macro or increase micro_substeps",
@@ -216,7 +235,12 @@ def _check_finite(arr: np.ndarray, what: str, step: int, time: float) -> None:
 
 
 def _tile_state(v: np.ndarray, count: int) -> np.ndarray:
-    return np.tile(np.asarray(v, dtype=float).reshape(1, -1), (count, 1))
+    """One copy of the initial state per particle; refusing a non-finite one
+    here lets the runs check only the states they compute."""
+    v = np.asarray(v, dtype=float).reshape(1, -1)
+    if not np.isfinite(v).all():
+        raise InvalidParams("cloud coordinates must be finite")
+    return np.tile(v, (count, 1))
 
 
 def _noise_tag(cfg: SdeConfig, labels: Sequence[str]) -> dict:
@@ -266,11 +290,10 @@ def simulate_slow_fast(
     )
     inv_sqrt_eps = 1.0 / math.sqrt(eps)
 
-    slow_clouds = [ParticleCloud(x)]
-    fast_clouds = [ParticleCloud(z)]
+    slow = np.empty((n_steps + 1,) + x.shape)
+    fast = np.empty((n_steps + 1,) + z.shape)
+    slow[0], fast[0] = x, z
     for k in range(n_steps):
-        _check_finite(x, "slow state", k, times[k])
-        _check_finite(z, "fast state", k, times[k])
         mu = summarize_points(x)
         nu = summarize_points(z)
         x_macro = x
@@ -288,12 +311,11 @@ def simulate_slow_fast(
             )
         _check_finite(x, "slow state", k + 1, times[k + 1])
         _check_finite(z, "fast state", k + 1, times[k + 1])
-        slow_clouds.append(ParticleCloud(x))
-        fast_clouds.append(ParticleCloud(z))
+        slow[k + 1], fast[k + 1] = x, z
     return PathEnsemble(
         times=times,
-        slow_clouds=slow_clouds,
-        fast_clouds=fast_clouds,
+        slow=slow,
+        fast=fast,
         noise_tag=_noise_tag(cfg, (SLOW_LABEL, FAST_LABEL)),
     )
 
@@ -318,11 +340,9 @@ def simulate_frozen(
     z = _tile_state(model.z0 if z0 is None else z0, cfg.M)
     dw = normal_increments(cfg.seed, FROZEN_LABEL, n_steps, cfg.M, model.l, math.sqrt(dt))
 
-    slow_cloud = ParticleCloud(x_frozen)
-    slow_clouds = [slow_cloud] * (n_steps + 1)
-    fast_clouds = [ParticleCloud(z)]
+    fast = np.empty((n_steps + 1,) + z.shape)
+    fast[0] = z
     for k in range(n_steps):
-        _check_finite(z, "frozen fast state", k, times[k])
         nu = summarize_points(z)
         z = (
             z
@@ -330,16 +350,15 @@ def simulate_frozen(
             + _apply_sigma(model.sigma2(x_frozen, mu, z, nu), dw[k])
         )
         _check_finite(z, "frozen fast state", k + 1, times[k + 1])
-        fast_clouds.append(ParticleCloud(z))
+        fast[k + 1] = z
     tag = {
         "seed": cfg.seed,
         "dt": cfg.dt,
         "M": cfg.M,
         "labels": (FROZEN_LABEL,),
     }
-    return PathEnsemble(
-        times=times, slow_clouds=slow_clouds, fast_clouds=fast_clouds, noise_tag=tag
-    )
+    slow = np.broadcast_to(x_frozen, (n_steps + 1,) + x_frozen.shape)
+    return PathEnsemble(times=times, slow=slow, fast=fast, noise_tag=tag)
 
 
 def simulate_averaged(
@@ -362,9 +381,9 @@ def simulate_averaged(
     x = _tile_state(model.x0, cfg.N)
     dw_slow = _slow_increments(model, cfg) if _dw_slow is None else _dw_slow
 
-    slow_clouds = [ParticleCloud(x)]
+    slow = np.empty((n_steps + 1,) + x.shape)
+    slow[0] = x
     for k in range(n_steps):
-        _check_finite(x, "averaged slow state", k, times[k])
         mu = summarize_points(x)
         x = (
             x
@@ -372,10 +391,8 @@ def simulate_averaged(
             + _apply_sigma(model.sigma1(x, mu), dw_slow[k])
         )
         _check_finite(x, "averaged slow state", k + 1, times[k + 1])
-        slow_clouds.append(ParticleCloud(x))
-    return PathEnsemble(
-        times=times, slow_clouds=slow_clouds, noise_tag=_noise_tag(cfg, (SLOW_LABEL,))
-    )
+        slow[k + 1] = x
+    return PathEnsemble(times=times, slow=slow, noise_tag=_noise_tag(cfg, (SLOW_LABEL,)))
 
 
 def coupled_pair(
@@ -414,8 +431,8 @@ def simulate_auxiliary(model: ModelSpec, slow_path: PathEnsemble, cfg: SdeConfig
                 f"config field {key}={getattr(cfg, key)!r} does not match the "
                 f"ensemble noise tag {tag.get(key)!r}"
             )
-    if slow_path.fast_clouds is None:
-        raise GridMismatch("ensemble has no fast clouds to restart from")
+    if slow_path.fast is None:
+        raise GridMismatch("ensemble has no fast path to restart from")
 
     n_steps = cfg.n_steps
     dt = cfg.dt_macro
@@ -429,16 +446,14 @@ def simulate_auxiliary(model: ModelSpec, slow_path: PathEnsemble, cfg: SdeConfig
     )
     inv_sqrt_eps = 1.0 / math.sqrt(eps)
 
-    zh = slow_path.fast_clouds[0].points.copy()
-    x_frozen = slow_path.slow_clouds[0].points
-    mu_frozen = summarize_points(x_frozen)
-    aux_clouds = [ParticleCloud(zh)]
+    aux = np.empty((n_steps + 1,) + slow_path.fast.shape[1:])
+    aux[0] = slow_path.fast[0]
     for k in range(n_steps):
         if k % seg == 0:
-            zh = slow_path.fast_clouds[k].points.copy()
-            x_frozen = slow_path.slow_clouds[k].points
+            zh = slow_path.fast[k]
+            x_frozen = slow_path.slow[k]
             mu_frozen = summarize_points(x_frozen)
-        _check_finite(zh, "auxiliary fast state", k, times[k])
+            _check_finite(zh, "auxiliary fast state", k, times[k])
         nu = summarize_points(zh)
         for s in range(ksub):
             dw = dw_fast[k * ksub + s]
@@ -448,11 +463,11 @@ def simulate_auxiliary(model: ModelSpec, slow_path: PathEnsemble, cfg: SdeConfig
                 + _apply_sigma(model.sigma2(x_frozen, mu_frozen, zh, nu), dw) * inv_sqrt_eps
             )
         _check_finite(zh, "auxiliary fast state", k + 1, times[k + 1])
-        aux_clouds.append(ParticleCloud(zh))
+        aux[k + 1] = zh
     return PathEnsemble(
         times=times,
-        slow_clouds=slow_path.slow_clouds,
-        fast_clouds=slow_path.fast_clouds,
-        aux_clouds=aux_clouds,
+        slow=slow_path.slow,
+        fast=slow_path.fast,
+        aux=aux,
         noise_tag=dict(tag, delta_eps=cfg.delta_eps),
     )
