@@ -246,12 +246,12 @@ def _record_pi(logw: np.ndarray, f_vals: np.ndarray) -> tuple:
     s = u.sum()
     pi = float((u * f_vals).sum() / s)
     ess = float(s * s / (u @ u))
-    return pi, ess, u, s, mx
+    return pi, ess
 
 
 def _filter_slow_increments(model: ModelSpec, cfg: FilterConfig, sde_cfg: SdeConfig):
     return normal_increments(
-        sde_cfg.seed, FILTER_SLOW_LABEL, sde_cfg.n_steps, cfg.Nf, model.m,
+        sde_cfg.seed, FILTER_SLOW_LABEL, sde_cfg.n_steps, cfg.Nf, model.n,
         math.sqrt(sde_cfg.dt_macro),
     )
 
@@ -310,7 +310,7 @@ def run_filter(
         ksub = sde_cfg.micro_substeps
         dts = dt / ksub
         dw_fast = normal_increments(
-            sde_cfg.seed, FILTER_FAST_LABEL, n_steps * ksub, nf, model.l, math.sqrt(dts)
+            sde_cfg.seed, FILTER_FAST_LABEL, n_steps * ksub, nf, model.m, math.sqrt(dts)
         )
         inv_sqrt_eps = 1.0 / math.sqrt(sde_cfg.epsilon)
     resample_rng = stream(sde_cfg.seed, "filter-resample")
@@ -325,7 +325,7 @@ def run_filter(
     fv_hist = [] if record_weights else None
 
     f0 = np.asarray(f_func(x, obs.signal_law_trace[0]), dtype=float)
-    pi_arr[0], ess_arr[0], _, _, _ = _record_pi(logw, f0)
+    pi_arr[0], ess_arr[0] = _record_pi(logw, f0)
     rho_arr[0] = 0.0
     if record_weights:
         lw_hist.append(logw.copy())
@@ -351,6 +351,8 @@ def run_filter(
             if multiscale:
                 z = z[idx]
             logw = np.zeros(nf)
+            u = np.ones(nf)
+            s = u.sum()
             log_offset = log_rho_next
             events.append(k + 1)
 
@@ -378,7 +380,8 @@ def run_filter(
         _check_finite(x, "filter particles", k + 1, times[k + 1])
 
         fv = np.asarray(f_func(x, obs.signal_law_trace[k + 1]), dtype=float)
-        pi_arr[k + 1], _, _, _, _ = _record_pi(logw, fv)
+        # logw is unchanged since u and s were taken from it: this is _record_pi's pi
+        pi_arr[k + 1] = float((u * fv).sum() / s)
         ess_arr[k + 1] = ess_k
         rho_arr[k + 1] = log_rho_next
         if record_weights:

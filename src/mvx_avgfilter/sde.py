@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import GridMismatch, Instability, InvalidParams, MissingDelta
+from .errors import DimensionMismatch, GridMismatch, Instability, InvalidParams, MissingDelta
 from .measure import MeasureSummary, ParticleCloud, summarize_points
 from .model import ModelSpec
 from .streams import normal_increments
@@ -160,13 +160,13 @@ def estimate_dissipativity(
     worst = -math.inf
     for _ in range(samples):
         x = rng.uniform(-box, box, size=model.n)
-        z1 = rng.uniform(-box, box, size=model.l)
-        z2 = rng.uniform(-box, box, size=model.l)
+        z1 = rng.uniform(-box, box, size=model.m)
+        z2 = rng.uniform(-box, box, size=model.m)
         if np.allclose(z1, z2):
             continue
         pts = rng.uniform(-box, box, size=(8, model.n))
         mu = summarize_points(pts)
-        nu = summarize_points(rng.uniform(-box, box, size=(8, model.l)))
+        nu = summarize_points(rng.uniform(-box, box, size=(8, model.m)))
         dz = z1 - z2
         db = np.asarray(model.b2(x, mu, z1, nu)) - np.asarray(model.b2(x, mu, z2, nu))
         worst = max(worst, float(-np.dot(dz, db) / np.dot(dz, dz)))
@@ -217,6 +217,11 @@ def _apply_sigma(sig, dw: np.ndarray) -> np.ndarray:
     """
 
     sig = np.asarray(sig, dtype=float)
+    if sig.ndim in (2, 3) and sig.shape[-1] != dw.shape[-1]:
+        raise DimensionMismatch(
+            f"diffusion coefficient has {sig.shape[-1]} columns but the noise "
+            f"increments have {dw.shape[-1]} components"
+        )
     if sig.ndim == 2:
         return dw @ sig.T
     if sig.ndim == 3:
@@ -256,7 +261,7 @@ def _noise_tag(cfg: SdeConfig, labels: Sequence[str]) -> dict:
 
 def _slow_increments(model: ModelSpec, cfg: SdeConfig) -> np.ndarray:
     return normal_increments(
-        cfg.seed, SLOW_LABEL, cfg.n_steps, cfg.N, model.m, math.sqrt(cfg.dt_macro)
+        cfg.seed, SLOW_LABEL, cfg.n_steps, cfg.N, model.n, math.sqrt(cfg.dt_macro)
     )
 
 
@@ -286,7 +291,7 @@ def simulate_slow_fast(
     z = _tile_state(model.z0, cfg.N)
     dw_slow = _slow_increments(model, cfg) if _dw_slow is None else _dw_slow
     dw_fast = normal_increments(
-        cfg.seed, FAST_LABEL, n_steps * ksub, cfg.N, model.l, math.sqrt(dts)
+        cfg.seed, FAST_LABEL, n_steps * ksub, cfg.N, model.m, math.sqrt(dts)
     )
     inv_sqrt_eps = 1.0 / math.sqrt(eps)
 
@@ -338,7 +343,7 @@ def simulate_frozen(
     times = np.arange(n_steps + 1) * dt
     x_frozen = _tile_state(x, cfg.M)
     z = _tile_state(model.z0 if z0 is None else z0, cfg.M)
-    dw = normal_increments(cfg.seed, FROZEN_LABEL, n_steps, cfg.M, model.l, math.sqrt(dt))
+    dw = normal_increments(cfg.seed, FROZEN_LABEL, n_steps, cfg.M, model.m, math.sqrt(dt))
 
     fast = np.empty((n_steps + 1,) + z.shape)
     fast[0] = z
@@ -433,8 +438,13 @@ def simulate_auxiliary(model: ModelSpec, slow_path: PathEnsemble, cfg: SdeConfig
             )
     if slow_path.fast is None:
         raise GridMismatch("ensemble has no fast path to restart from")
-
     n_steps = cfg.n_steps
+    if n_steps != len(slow_path.times) - 1:
+        raise GridMismatch(
+            f"config has {n_steps} macro steps but the ensemble path has "
+            f"{len(slow_path.times) - 1}"
+        )
+
     dt = cfg.dt_macro
     ksub = cfg.micro_substeps
     dts = dt / ksub
@@ -442,7 +452,7 @@ def simulate_auxiliary(model: ModelSpec, slow_path: PathEnsemble, cfg: SdeConfig
     times = slow_path.times
     seg = max(1, int(round(cfg.delta_eps / dt)))
     dw_fast = normal_increments(
-        cfg.seed, FAST_LABEL, n_steps * ksub, cfg.N, model.l, math.sqrt(dts)
+        cfg.seed, FAST_LABEL, n_steps * ksub, cfg.N, model.m, math.sqrt(dts)
     )
     inv_sqrt_eps = 1.0 / math.sqrt(eps)
 

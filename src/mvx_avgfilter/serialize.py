@@ -7,12 +7,16 @@ Identical inputs therefore produce byte-identical files.
 
 Particle paths stay float arrays until their text is built: a CSV table is
 one ``(rows, cols)`` array, and JSON payloads may hold float arrays, which
-are written exactly as ``json.dumps`` writes the equal nested lists.
+are written exactly as ``json.dumps`` writes the equal nested lists.  Both
+are streamed in blocks of about :data:`CHUNK` rows or values, each block
+filled into a ``%`` template in one call, so memory while writing does not
+grow with the size of the table.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -23,6 +27,9 @@ from typing import Iterable, List, Sequence, Union
 import numpy as np
 
 from . import SCHEMA_VERSION
+
+CHUNK = 8192
+"""Rows per CSV block; a JSON array block holds about this many values."""
 
 
 def format_float(x: float) -> str:
@@ -40,13 +47,18 @@ def format_value(v) -> str:
     return str(v)
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
+def atomic_write_chunks(path: str, chunks: Iterable[Union[str, bytes]]) -> None:
+    """Write ``chunks`` (text as UTF-8) to a temp file, then rename it to ``path``.
+
+    If anything raises, the temp file is removed and ``path`` is untouched.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -54,8 +66,12 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    atomic_write_chunks(path, (data,))
+
+
 def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_chunks(path, (text,))
 
 
 def write_csv(
@@ -63,71 +79,98 @@ def write_csv(
 ) -> None:
     """Schema line, header, then one line per row.
 
-    ``rows`` is a float ``(rows, cols)`` array, printed with
-    :func:`format_float` per value, or an iterable of mixed-type rows.
+    ``rows`` is a float ``(rows, cols)`` array, printed as :func:`format_float`
+    prints each value, or an iterable of mixed-type rows.
     """
-    lines = [f"# {SCHEMA_VERSION} {command}", ",".join(columns)]
     if isinstance(rows, np.ndarray):
-        width = rows.shape[1]
-        text = [format(v, ".17g") for v in rows.ravel().tolist()]
-        lines += [",".join(text[i : i + width]) for i in range(0, len(text), width)]
+        body = _csv_blocks(rows)
     else:
-        lines += [",".join(format_value(v) for v in row) for row in rows]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        body = (",".join(format_value(v) for v in row) + "\n" for row in rows)
+    head = f"# {SCHEMA_VERSION} {command}\n" + ",".join(columns) + "\n"
+    atomic_write_chunks(path, itertools.chain((head,), body))
 
 
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+def _csv_blocks(rows: np.ndarray):
+    """Text of a float table, :data:`CHUNK` rows per block.
+
+    ``"%.17g" % v`` is ``format(v, ".17g")``.  A column with few distinct
+    values in a block (times, particle indices) has each distinct value
+    formatted once and spliced in with ``%s``; values are told apart by
+    their bits, so -0.0 and 0.0 stay distinct.
+    """
+    width = rows.shape[1]
+    for start in range(0, len(rows), CHUNK):
+        block = np.asarray(rows[start : start + CHUNK], dtype=float)
+        cells = [None] * block.size
+        fmts = []
+        for j in range(width):
+            col = block[:, j]
+            keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+            if 2 * len(keys) <= len(block):
+                text = np.array(["%.17g" % v for v in keys.view(float).tolist()], dtype=object)
+                cells[j::width] = text[inverse].tolist()
+                fmts.append("%s")
+            else:
+                cells[j::width] = col.tolist()
+                fmts.append("%.17g")
+        yield ((",".join(fmts) + "\n") * len(block)) % tuple(cells)
+
+
 _ARRAY_SLOT = re.compile(r'^( *)(.*)"\\u0000array(\d+)"', re.MULTILINE)
 
 
-def _json_array(a: np.ndarray, level: int) -> str:
-    """Float array as ``json.dumps(indent=2)`` writes it at nesting ``level``.
+def _json_template(shape: tuple, level: int) -> str:
+    """``json.dumps(indent=2)`` layout of a nested list of ``shape`` at nesting
+    ``level``, with ``%s`` for each value; ``shape`` has no zero entry."""
+    if not shape:
+        return "%s"
+    item = "\n" + "  " * (level + 1) + _json_template(shape[1:], level + 1)
+    return "[" + ",".join([item] * shape[0]) + "\n" + "  " * level + "]"
 
-    The values are joined in one pass; the separator after a value closes
-    and reopens every inner list that ends there.  ``a`` is non-empty.
-    """
-    items = [repr(v) for v in a.ravel().tolist()]
-    if not np.isfinite(a).all():
-        items = [_JSON_NONFINITE.get(v, v) for v in items]
-    nd = a.ndim
-    pad = ["\n" + "  " * (level + k) for k in range(nd + 1)]
-    opens = [pad[k] + "[" for k in range(nd)]
-    closes = [pad[k] + "]" for k in range(nd)]
-    seps = [None] * len(items)
-    for r in range(nd):  # after each value that ends the r innermost lists
-        block = math.prod(a.shape[nd - r :])
-        sep = "".join(reversed(closes[nd - r :])) + "," + "".join(opens[nd - r :]) + pad[nd]
-        seps[block - 1 :: block] = [sep] * (len(items) // block)
-    seps[-1] = "".join(reversed(closes))
-    text = [None] * (2 * len(items))
-    text[0::2], text[1::2] = items, seps
-    return "[" + "".join(opens[1:]) + pad[nd] + "".join(text)
+
+def _json_array(a: np.ndarray, level: int):
+    """Non-empty float array as :func:`_json_template` lays it out, in blocks
+    along the leading axis; ``str`` of a float is the ``repr`` ``json`` writes."""
+    item = "\n" + "  " * (level + 1) + _json_template(a.shape[1:], level + 1)
+    step = max(1, CHUNK // math.prod(a.shape[1:]))
+    yield "["
+    for start in range(0, len(a), step):
+        block = a[start : start + step]
+        values = block.ravel().tolist()
+        for i in np.flatnonzero(~np.isfinite(block)).tolist():
+            values[i] = json.dumps(values[i])
+        yield ("," if start else "") + ",".join([item] * len(block)) % tuple(values)
+    yield "\n" + "  " * level + "]"
 
 
 def write_json(path: str, payload: dict) -> None:
     """``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline.
 
     Arrays are written as their ``tolist()`` would be: non-empty float arrays
-    by :func:`_json_array`, spliced in at a placeholder, and other arrays
-    through ``tolist`` itself.  NaN and infinities come out as ``json``
-    writes them.
+    of one or more dimensions by :func:`_json_array`, streamed in at a
+    placeholder, and other arrays through ``tolist`` itself.
     """
     arrays = []
 
     def slot(value):
         if not isinstance(value, np.ndarray):
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        if value.dtype.kind != "f" or value.size == 0:
+        if value.dtype.kind != "f" or value.size == 0 or value.ndim == 0:
             return value.tolist()
         arrays.append(value)
         return f"\0array{len(arrays) - 1}"
 
     text = json.dumps(payload, sort_keys=True, indent=2, default=slot)
-    if arrays:
-        text = _ARRAY_SLOT.sub(
-            lambda m: m[1] + m[2] + _json_array(arrays[int(m[3])], len(m[1]) // 2), text
-        )
-    atomic_write_text(path, text + "\n")
+
+    def chunks():
+        pos = 0
+        for m in _ARRAY_SLOT.finditer(text):
+            yield text[pos : m.end(2)]
+            yield from _json_array(arrays[int(m[3])], len(m[1]) // 2)
+            pos = m.end()
+        yield text[pos:] + "\n"
+
+    atomic_write_chunks(path, chunks())
 
 
 # ----- payload builders -----

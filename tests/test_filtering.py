@@ -24,6 +24,7 @@ from mvx_avgfilter.filtering import (
     FilterConfig,
     FilterTrajectory,
     ObservationPath,
+    _record_pi,
     filter_discrepancy,
     generate_observations,
     get_functional,
@@ -207,6 +208,20 @@ def test_kallianpur_striebel_identity_bit_exact():
     for k in range(len(traj.times)):
         u = np.exp(lw[k] - lw[k].max())
         assert traj.pi_F[k] == float((u * fv[k]).sum() / u.sum())
+
+
+def test_pi_reuses_step_weights_bitwise_with_frequent_resampling():
+    # threshold 1.0 resamples whenever the weights are not all equal
+    model = ref_model()
+    cfg = signal_cfg(T=0.4)
+    obs = make_obs(model, cfg)
+    fcfg = FilterConfig(Nf=64, resample_threshold=1.0, functional="tanh", p=1)
+    traj = run_filter("multiscale", model, None, obs, fcfg, cfg, record_weights=True)
+    assert len(traj.resample_events) >= len(traj.times) - 2
+    lw = traj.debug["log_weights"]
+    fv = traj.debug["f_values"]
+    for k in range(len(traj.times)):
+        assert traj.pi_F[k] == _record_pi(lw[k], fv[k])[0]
 
 
 def test_ess_range_and_event_consistency():

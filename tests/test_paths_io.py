@@ -1,15 +1,18 @@
 """Array-backed paths and the array writers.
 
 Paths are read-only (steps+1, N, d) arrays with clouds built on demand; the
-writers format those arrays directly and must produce exactly the bytes of
-the per-value reference formatting (``json.dumps`` of nested lists,
-``format_value`` per CSV cell).
+writers format those arrays directly, streamed in blocks, and must produce
+exactly the bytes of the per-value reference formatting (``json.dumps`` of
+nested lists, ``format(v, ".17g")`` per CSV cell) in memory that does not
+grow with the table.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +33,10 @@ from mvx_avgfilter.sde import (
     simulate_frozen,
     simulate_slow_fast,
 )
+from mvx_avgfilter import SCHEMA_VERSION
 from mvx_avgfilter.serialize import (
+    CHUNK,
+    atomic_write_chunks,
     ensemble_json,
     ensemble_rows,
     filter_json,
@@ -77,6 +83,15 @@ def written(tmp_path, payload) -> str:
 
 def reference_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want``, reporting the first difference instead of a full diff."""
+    if got != want:
+        end = min(len(got), len(want))
+        i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), end)
+        lo = max(i - 40, 0)
+        pytest.fail(f"texts differ at {i}: {got[lo : i + 40]!r} != {want[lo : i + 40]!r}")
 
 
 # ===== paths =====
@@ -250,6 +265,38 @@ def test_non_finite_array_values_are_written_as_json_does(tmp_path):
     assert "NaN" in text and "-Infinity" in text
 
 
+def test_zero_dimensional_arrays_are_written_as_scalars(tmp_path):
+    payload = {"a": np.array(1.5), "b": [np.array(np.nan), np.array(-np.inf)],
+               "c": np.array(-0.0), "d": np.array(3)}
+    text = written(tmp_path, payload)
+    assert text == reference_json(as_lists(payload))
+    assert json.loads(text)["a"] == 1.5
+
+
+BLOCK_SHAPES = [(2 * CHUNK + 5,), (CHUNK // 50 * 3 + 1, 50), (40, 100, 3), (CHUNK + 1, 1, 1)]
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES)
+def test_arrays_spanning_several_blocks(tmp_path, shape):
+    rng = np.random.default_rng(len(shape))
+    a = rng.standard_normal(shape)
+    flat = a.reshape(-1)
+    flat[::97] = np.nan
+    flat[5::89] = np.inf
+    flat[7::101] = -np.inf
+    flat[11::83] = -0.0
+    flat[13::79] = 1e22
+    payload = {"z": a, "list": [{"a": a}, a[:3]], "t": a.T, "b": np.broadcast_to(a[:1], a.shape)}
+    assert_same_text(written(tmp_path, payload), reference_json(as_lists(payload)))
+
+
+def test_empty_and_non_finite_block_edges(tmp_path):
+    inf_block = np.full((CHUNK, 2), np.inf)
+    payload = {"e": np.zeros((0, 3)), "f": np.empty(0), "inf": inf_block,
+               "nan": np.full(CHUNK + 1, np.nan)}
+    assert_same_text(written(tmp_path, payload), reference_json(as_lists(payload)))
+
+
 def test_unknown_objects_are_still_refused(tmp_path):
     with pytest.raises(TypeError):
         write_json(str(tmp_path / "x.json"), {"a": object()})
@@ -398,3 +445,93 @@ def test_one_pass_oracle_single_row_and_empty_batch():
     assert np.array_equal(oracle(np.array([[0.5]]), mu)[0], single)
     assert oracle(np.zeros((0, 1)), mu).shape == (0, 1)
     assert oracle.stats == {"hits": 1, "misses": 1}
+
+
+# ===== streaming =====
+
+
+def few_distinct_table(rows: int) -> np.ndarray:
+    """Columns: a few distinct values (signed zeros, NaN, infinities), a
+    time-like column, edge values among normals, and a particle-like index."""
+    pool = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, 2.0])
+    rng = np.random.default_rng(rows)
+    mixed = rng.standard_normal(rows)
+    edges = [5e-324, 1e16, 1e22, 3.0, -0.0, np.nan, np.inf, -123456789.0]
+    mixed[: len(edges)] = edges[:rows]
+    mixed[len(edges) :: 37] = 4.0
+    return np.column_stack([
+        pool[np.arange(rows) % len(pool)],
+        np.repeat(np.arange(rows // 1000 + 1) * 0.01, 1000)[:rows],
+        mixed,
+        np.arange(rows, dtype=float) % 1000,
+    ])
+
+
+def reference_csv(command, columns, table) -> str:
+    lines = [f"# {SCHEMA_VERSION} {command}", ",".join(columns)]
+    lines += [",".join(format(v, ".17g") for v in row) for row in table.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+def test_csv_blocks_equal_per_value_text(tmp_path, rows):
+    table = few_distinct_table(rows)
+    cols = ["a", "t", "x", "particle"]
+    write_csv(str(tmp_path / "a.csv"), "simulate", cols, table)
+    assert_same_text(read_csv(tmp_path / "a.csv"), reference_csv("simulate", cols, table))
+    for j in range(4):
+        column = table[:, j : j + 1]
+        write_csv(str(tmp_path / "b.csv"), "cmd", ["v"], column)
+        assert_same_text(read_csv(tmp_path / "b.csv"), reference_csv("cmd", ["v"], column))
+
+
+def test_chunks_are_written_in_order_as_utf8(tmp_path):
+    target = tmp_path / "c.txt"
+    atomic_write_chunks(str(target), iter(["a,", b"b\n", "\u00b5", b""]))
+    assert target.read_bytes() == "a,b\n\u00b5".encode("utf-8")
+
+
+def test_failing_stream_leaves_target_untouched(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old contents\n", encoding="utf-8")
+
+    def chunks():
+        yield "new,"
+        yield b"partial\n"
+        raise RuntimeError("stream broke")
+
+    with pytest.raises(RuntimeError, match="stream broke"):
+        atomic_write_chunks(str(target), chunks())
+
+    def rows():
+        yield [1.0, 2]
+        raise ValueError("row broke")
+
+    with pytest.raises(ValueError, match="row broke"):
+        write_csv(str(target), "cmd", ["a", "b"], rows())
+    assert target.read_text(encoding="utf-8") == "old contents\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def writer_peak(write, *args) -> int:
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["csv", "json"])
+def test_writer_memory_does_not_grow_with_rows(tmp_path, kind):
+    rows = 100_000
+    peaks = []
+    for count in (rows, 2 * rows):
+        table = few_distinct_table(count)
+        path = str(tmp_path / f"{count}.{kind}")
+        if kind == "csv":
+            peaks.append(writer_peak(write_csv, path, "simulate", ["a", "t", "x", "p"], table))
+        else:
+            payload = {"t": table[:, 1], "x": table[:, 2].reshape(count // 1000, 1000, 1)}
+            peaks.append(writer_peak(write_json, path, payload))
+    assert peaks[1] < 1.25 * peaks[0], peaks

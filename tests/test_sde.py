@@ -17,7 +17,14 @@ import math
 import numpy as np
 import pytest
 
-from mvx_avgfilter.errors import GridMismatch, Instability, InvalidParams, MissingDelta
+from mvx_avgfilter.errors import (
+    DimensionMismatch,
+    GridMismatch,
+    Instability,
+    InvalidParams,
+    MissingDelta,
+)
+from mvx_avgfilter.filtering import FilterConfig, generate_observations, run_filter
 from mvx_avgfilter.measure import summarize
 from mvx_avgfilter.model import LinearModelParams, ModelSpec, make_linear_model
 from mvx_avgfilter.sde import (
@@ -347,6 +354,18 @@ def test_auxiliary_rejects_mismatched_config():
         simulate_auxiliary(model, path, other)
 
 
+@pytest.mark.parametrize("T", [0.3, 0.1])
+def test_auxiliary_rejects_other_horizon(T):
+    model = ref_model()
+    cfg = SdeConfig(epsilon=0.1, T=0.2, dt_macro=0.05, micro_substeps=4, N=16, seed=5)
+    path = simulate_slow_fast(model, cfg)
+    other = SdeConfig(
+        epsilon=0.1, T=T, dt_macro=0.05, micro_substeps=4, N=16, seed=5, delta_eps=0.1
+    )
+    with pytest.raises(GridMismatch, match=rf"{other.n_steps} macro steps .* has 4"):
+        simulate_auxiliary(model, path, other)
+
+
 def test_auxiliary_identical_for_constant_slow():
     params = LinearModelParams(a11=0.0, a12=0.0, a13=0.0, s1=0.0)
     model = ref_model(params)
@@ -424,3 +443,70 @@ def test_slow_increment_smallness_stable_across_eps():
     c = s1 / (d1 + d1**2)
     s2, d2 = stat(0.05)
     assert s2 <= 1.5 * c * (d2 + d2**2)
+
+
+# ===== noise dimensions follow the model: x in R^n, z in R^m, y in R^l =====
+
+
+def mixed_dims_model(n, m, l, sigma1=None):
+    """Nonlinear model with square diffusions; no two of n, m, l need agree."""
+
+    def b1(x, mu, z):
+        return -x + 0.5 * np.tanh(z.sum(axis=-1, keepdims=True)) + 0.1 * mu.mean
+
+    def b2(x, mu, z, nu):
+        return -2.0 * z + 0.5 * x.mean(axis=-1, keepdims=True) + 0.1 * nu.mean + shift
+
+    def h(x, mu):
+        return np.tanh(x.sum(axis=-1, keepdims=True) * np.linspace(0.5, 1.5, l))
+
+    shift = np.linspace(0.0, 0.1, m)  # makes b2 refuse a z of any other width
+    sig1 = 0.5 * np.eye(n) if sigma1 is None else sigma1
+    return ModelSpec(
+        n=n, m=m, l=l, x0=np.full(n, 0.4), z0=np.full(m, -0.2),
+        b1=b1, sigma1=lambda x, mu: sig1, b2=b2,
+        sigma2=lambda x, mu, z, nu: 0.7 * np.eye(m), h=h,
+    )
+
+
+MIXED_DIMS = [(1, 2, 2), (2, 3, 1)]
+MIXED_CFG = SdeConfig(
+    epsilon=0.1, T=0.2, dt_macro=0.02, micro_substeps=4, N=12, seed=3, delta_eps=0.04
+)
+
+
+@pytest.mark.parametrize("n,m,l", MIXED_DIMS)
+def test_simulators_draw_noise_in_the_model_dimensions(n, m, l):
+    model = mixed_dims_model(n, m, l)
+    cfg = MIXED_CFG
+    assert estimate_dissipativity(model) == pytest.approx(2.0)
+    path = simulate_slow_fast(model, cfg)
+    assert path.slow.shape == (11, 12, n) and path.fast.shape == (11, 12, m)
+    avg = simulate_averaged(model, lambda x, mu: -x, cfg)
+    assert avg.slow.shape == (11, 12, n)
+    aux = simulate_auxiliary(model, path, cfg)
+    assert aux.aux.shape == (11, 12, m)
+    frozen_cfg = FrozenRunConfig(M=9, dt=0.05, burn_in=0.1, avg_window=0.2, seed=2)
+    frozen = simulate_frozen(model, np.zeros(n), summarize(path.slow_clouds[-1]), frozen_cfg)
+    assert frozen.fast.shape == (frozen_cfg.n_steps + 1, 9, m)
+    for arr in (path.slow, path.fast, avg.slow, aux.aux, frozen.fast):
+        assert np.isfinite(arr).all()
+
+
+@pytest.mark.parametrize("n,m,l", MIXED_DIMS)
+def test_filter_arms_draw_noise_in_the_model_dimensions(n, m, l):
+    model = mixed_dims_model(n, m, l)
+    cfg = MIXED_CFG
+    obs = generate_observations(model, simulate_slow_fast(model, cfg), 0, cfg.dt_macro, 7)
+    assert obs.increments.shape == (10, l)
+    fcfg = FilterConfig(Nf=20, resample_threshold=0.5, functional="tanh")
+    for kind, drift in (("multiscale", None), ("averaged", lambda x, mu: -x)):
+        traj = run_filter(kind, model, drift, obs, fcfg, cfg)
+        assert np.isfinite(traj.pi_F).all()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (12, 2, 2), (1, 2)])
+def test_diffusion_of_the_wrong_width_is_refused(shape):
+    model = mixed_dims_model(1, 2, 2, sigma1=np.full(shape, 0.5))
+    with pytest.raises(DimensionMismatch, match="2 columns but the noise increments have 1"):
+        simulate_slow_fast(model, MIXED_CFG)
