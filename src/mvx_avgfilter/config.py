@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import InvalidParams, ParseError, ValidationError
+from .experiments import validate_sweep_grid
 from .filtering import FilterConfig, get_functional
 from .model import LinearModelParams, ModelSpec, make_linear_model
-from .sde import STABILITY_CAP, FrozenRunConfig, SdeConfig, suggest_micro_substeps
+from .sde import FrozenRunConfig, SdeConfig, validate_stability
 
 COMMANDS = (
     "simulate",
@@ -308,20 +309,8 @@ def parse_config(text: str) -> RunConfig:
             p_orders=tuple(p_orders),
             functional=raw.get("functional", "tanh"),
         )
-        grid = sweep.eps_grid
-        _require(len(grid) > 0, "sweep.eps_grid must be nonempty")
-        _require(
-            all(0.0 < e <= 1.0 for e in grid), "sweep.eps_grid entries must lie in (0, 1]"
-        )
-        _require(
-            all(a > b for a, b in zip(grid, grid[1:])),
-            "sweep.eps_grid must be strictly decreasing",
-        )
-        _require(sweep.mc_reps >= 4, f"sweep.mc_reps >= 4 required, got {sweep.mc_reps}")
-        _require(
-            all(p >= 1 for p in sweep.p_orders), "sweep.p_orders must be positive"
-        )
         try:
+            validate_sweep_grid(sweep.eps_grid, sweep.mc_reps, sweep.p_orders)
             get_functional(sweep.functional)
         except InvalidParams as err:
             raise ValidationError(str(err)) from err
@@ -349,14 +338,11 @@ def parse_config(text: str) -> RunConfig:
     # the macro/micro step ratio must respect the fast contraction rate;
     # checked here so a bad config fails before any compute starts
     # sweep commands pick substeps per grid point themselves
-    if sde is not None and sweep is None and model.params.gamma > 0.0:
-        needed = suggest_micro_substeps(sde.dt_macro, sde.epsilon, model.params.gamma)
-        if sde.micro_substeps < needed:
-            effective = sde.dt_macro / sde.micro_substeps / sde.epsilon * model.params.gamma
-            raise ValidationError(
-                f"stability cap exceeded: (dt_macro/micro_substeps)/epsilon*gamma"
-                f" = {effective:.3g} > {STABILITY_CAP}; set micro_substeps >= {needed}"
-            )
+    if sde is not None and sweep is None:
+        try:
+            validate_stability(model.build(), sde)
+        except InvalidParams as err:
+            raise ValidationError(str(err)) from err
 
     return RunConfig(
         command=command,

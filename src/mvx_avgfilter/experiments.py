@@ -44,8 +44,8 @@ from .model import ModelSpec
 from .sde import (
     PathEnsemble,
     SdeConfig,
+    contraction_rate,
     coupled_pair,
-    estimate_dissipativity,
     simulate_slow_fast,
     suggest_micro_substeps,
 )
@@ -67,6 +67,21 @@ def delta_schedule(epsilon: float) -> float:
     return eps * (-math.log(eps)) ** (1.0 / 3.0)
 
 
+def validate_sweep_grid(eps_grid, mc_reps: int, p_orders) -> None:
+    """Refuse a sweep grid the sweeps cannot run; shared with parse_config."""
+    if not eps_grid:
+        raise InvalidParams("eps_grid must be nonempty")
+    for e in eps_grid:
+        if not 0.0 < e <= 1.0:
+            raise InvalidParams(f"eps_grid entries must lie in (0, 1], got {e!r}")
+    if any(a <= b for a, b in zip(eps_grid, eps_grid[1:])):
+        raise InvalidParams("eps_grid must be strictly decreasing")
+    if mc_reps < 4:
+        raise InvalidParams(f"mc_reps >= 4 required, got {mc_reps}")
+    if not p_orders or any(p < 1 for p in p_orders):
+        raise InvalidParams("p_orders must be positive integers")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Shared layout for both sweep kinds.
@@ -85,20 +100,9 @@ class SweepConfig:
     threads: int = 1
 
     def __post_init__(self):
-        grid = tuple(float(e) for e in self.eps_grid)
-        object.__setattr__(self, "eps_grid", grid)
+        object.__setattr__(self, "eps_grid", tuple(float(e) for e in self.eps_grid))
         object.__setattr__(self, "p_orders", tuple(int(p) for p in self.p_orders))
-        if not grid:
-            raise InvalidParams("eps_grid must be nonempty")
-        for e in grid:
-            if not 0.0 < e <= 1.0:
-                raise InvalidParams(f"eps_grid entries must lie in (0, 1], got {e!r}")
-        if any(a <= b for a, b in zip(grid, grid[1:])):
-            raise InvalidParams("eps_grid must be strictly decreasing")
-        if self.mc_reps < 4:
-            raise InvalidParams(f"mc_reps >= 4 required, got {self.mc_reps}")
-        if not self.p_orders or any(p < 1 for p in self.p_orders):
-            raise InvalidParams("p_orders must be positive integers")
+        validate_sweep_grid(self.eps_grid, self.mc_reps, self.p_orders)
         if self.threads < 1:
             raise InvalidParams("threads >= 1 required")
 
@@ -140,20 +144,14 @@ def sup_path_error(a: PathEnsemble, b: PathEnsemble) -> np.ndarray:
     return np.sqrt((d * d).sum(axis=2)).max(axis=0)
 
 
-def _gamma_estimate(model: ModelSpec) -> float:
-    if getattr(model, "linear_params", None) is not None:
-        return float(model.linear_params.gamma)
-    return estimate_dissipativity(model)
-
-
-def _substeps_for(sweep: SweepConfig, gamma: float) -> List[int]:
-    out = []
-    for eps in sweep.eps_grid:
-        base = sweep.base_sde.micro_substeps
-        if gamma > 0.0:
-            base = max(base, suggest_micro_substeps(sweep.base_sde.dt_macro, eps, gamma))
-        out.append(base)
-    return out
+def _substeps_for(sweep: SweepConfig, model: ModelSpec) -> List[int]:
+    """Per grid point, the configured count raised to what the stability rule needs."""
+    base = sweep.base_sde
+    gamma = contraction_rate(model)
+    return [
+        max(base.micro_substeps, suggest_micro_substeps(base.dt_macro, eps, gamma))
+        for eps in sweep.eps_grid
+    ]
 
 
 def _safe_delta(eps: float) -> float:
@@ -257,7 +255,7 @@ def averaging_error_sweep(model: ModelSpec, drift, sweep: SweepConfig) -> SweepR
     the ensemble.  SEs come from the spread across reps.
     """
     t0 = time.perf_counter()
-    substeps = _substeps_for(sweep, _gamma_estimate(model))
+    substeps = _substeps_for(sweep, model)
     seed0 = sweep.base_sde.seed
 
     def job(key):
@@ -305,7 +303,7 @@ def filter_error_sweep(
         raise InvalidParams("averaged filter arm needs a drift oracle")
     t0 = time.perf_counter()
     fcfg = dataclasses.replace(sweep.filter_cfg, functional=functional)
-    substeps = _substeps_for(sweep, _gamma_estimate(model))
+    substeps = _substeps_for(sweep, model)
     seed0 = sweep.base_sde.seed
 
     def job(key):

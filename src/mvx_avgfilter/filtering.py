@@ -33,8 +33,10 @@ from .model import LinearModelParams, ModelSpec, make_linear_model
 from .sde import (
     PathEnsemble,
     SdeConfig,
-    _apply_sigma,
     _check_finite,
+    _fast_step,
+    _slow_step,
+    _tile_state,
     simulate_slow_fast,
     validate_stability,
 )
@@ -303,12 +305,13 @@ def run_filter(
 
     f_func = get_functional(cfg.functional)
     nf = cfg.Nf
-    x = np.tile(np.asarray(model.x0, dtype=float).reshape(1, -1), (nf, 1))
+    x = _tile_state(model.x0, nf)
     dw_slow = _filter_slow_increments(model, cfg, sde_cfg) if _dw_slow is None else _dw_slow
     if multiscale:
-        z = np.tile(np.asarray(model.z0, dtype=float).reshape(1, -1), (nf, 1))
+        z = _tile_state(model.z0, nf)
         ksub = sde_cfg.micro_substeps
         dts = dt / ksub
+        h = dts / sde_cfg.epsilon
         dw_fast = normal_increments(
             sde_cfg.seed, FILTER_FAST_LABEL, n_steps * ksub, nf, model.m, math.sqrt(dts)
         )
@@ -356,27 +359,14 @@ def run_filter(
             log_offset = log_rho_next
             events.append(k + 1)
 
-        x_macro = x
         if multiscale:
             nu_k = obs.fast_law_trace[k]
-            x = (
-                x
-                + np.asarray(model.b1(x_macro, mu_k, z)) * dt
-                + _apply_sigma(model.sigma1(x_macro, mu_k), dw_slow[k])
-            )
-            for s_i in range(ksub):
-                dw = dw_fast[k * ksub + s_i]
-                z = (
-                    z
-                    + np.asarray(model.b2(x_macro, mu_k, z, nu_k)) * (dts / sde_cfg.epsilon)
-                    + _apply_sigma(model.sigma2(x_macro, mu_k, z, nu_k), dw) * inv_sqrt_eps
-                )
+            x_next = _slow_step(model, x, mu_k, model.b1(x, mu_k, z), dw_slow[k], dt)
+            for dw in dw_fast[k * ksub : (k + 1) * ksub]:
+                z = _fast_step(model, x, mu_k, z, nu_k, dw, h, inv_sqrt_eps)
+            x = x_next
         else:
-            x = (
-                x
-                + np.asarray(drift(x, mu_k)) * dt
-                + _apply_sigma(model.sigma1(x, mu_k), dw_slow[k])
-            )
+            x = _slow_step(model, x, mu_k, drift(x, mu_k), dw_slow[k], dt)
         _check_finite(x, "filter particles", k + 1, times[k + 1])
 
         fv = np.asarray(f_func(x, obs.signal_law_trace[k + 1]), dtype=float)

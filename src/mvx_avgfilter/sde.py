@@ -175,58 +175,76 @@ def estimate_dissipativity(
     return worst
 
 
-def suggest_micro_substeps(
-    dt_macro: float, epsilon: float, gamma_est: float, cap: float = STABILITY_CAP
-) -> int:
-    return max(1, int(math.ceil(dt_macro * gamma_est / (cap * epsilon))))
+def contraction_rate(model: ModelSpec) -> float:
+    """Contraction rate of the fast drift: gamma for the linear family, else
+    :func:`estimate_dissipativity`."""
+    if model.linear_params is not None:
+        return float(model.linear_params.gamma)
+    return estimate_dissipativity(model)
 
 
-def validate_stability(
-    model: ModelSpec,
-    cfg: SdeConfig,
-    gamma_est: Optional[float] = None,
-    cap: float = STABILITY_CAP,
-) -> None:
-    """Enforce (dt_macro/micro_substeps)/epsilon * gamma_est <= cap.
+def suggest_micro_substeps(dt_macro: float, epsilon: float, gamma_est: float) -> int:
+    """The stability rule: the fewest micro-substeps with
+    (dt_macro/micro_substeps)/epsilon * gamma_est <= STABILITY_CAP.
 
-    Skipped when no contraction is detected (gamma_est <= 0): the cap is a
+    It is 1 when no contraction is detected (gamma_est <= 0): the cap is a
     relaxation-rate condition and has no meaning without one.
     """
+    return max(1, int(math.ceil(dt_macro * gamma_est / (STABILITY_CAP * epsilon))))
 
-    if gamma_est is None:
-        if model.linear_params is not None:
-            gamma_est = model.linear_params.gamma
-        else:
-            gamma_est = estimate_dissipativity(model)
-    if gamma_est <= 0.0:
-        return
-    effective = (cfg.dt_macro / cfg.micro_substeps) / cfg.epsilon * gamma_est
-    if effective > cap:
-        needed = suggest_micro_substeps(cfg.dt_macro, cfg.epsilon, gamma_est, cap)
+
+def validate_stability(model: ModelSpec, cfg: SdeConfig) -> None:
+    """Refuse a config with fewer micro-substeps than the stability rule needs."""
+    needed = suggest_micro_substeps(cfg.dt_macro, cfg.epsilon, contraction_rate(model))
+    if cfg.micro_substeps < needed:
         raise InvalidParams(
-            f"fast step too coarse: (dt_macro/micro_substeps)/epsilon*gamma = "
-            f"{effective:.3g} exceeds {cap}; set micro_substeps >= {needed}"
+            f"fast step too coarse: micro_substeps={cfg.micro_substeps}, but the cap "
+            f"(dt_macro/micro_substeps)/epsilon*gamma <= {STABILITY_CAP} needs "
+            f"micro_substeps >= {needed}"
         )
 
 
-def _apply_sigma(sig, dw: np.ndarray) -> np.ndarray:
+def _apply_sigma(sig, dw: np.ndarray, rows: int) -> np.ndarray:
     """Apply a diffusion matrix to increments, per particle.
 
-    sig may be (d, q) shared across particles or (N, d, q) per particle;
-    dw has shape (N, q).
+    sig may be (rows, q) shared across particles or (N, rows, q) per
+    particle; dw has shape (N, q) and rows is the width of the state.
     """
 
     sig = np.asarray(sig, dtype=float)
-    if sig.ndim in (2, 3) and sig.shape[-1] != dw.shape[-1]:
+    if sig.ndim not in (2, 3):
+        raise InvalidParams(f"diffusion coefficient has unsupported ndim {sig.ndim}")
+    if sig.shape[-1] != dw.shape[-1]:
         raise DimensionMismatch(
             f"diffusion coefficient has {sig.shape[-1]} columns but the noise "
             f"increments have {dw.shape[-1]} components"
         )
+    if sig.shape[-2] != rows:
+        raise DimensionMismatch(
+            f"diffusion coefficient has {sig.shape[-2]} rows but the state width is {rows}"
+        )
     if sig.ndim == 2:
         return dw @ sig.T
-    if sig.ndim == 3:
-        return np.einsum("nij,nj->ni", sig, dw)
-    raise InvalidParams(f"diffusion coefficient has unsupported ndim {sig.ndim}")
+    return np.einsum("nij,nj->ni", sig, dw)
+
+
+def _slow_step(model: ModelSpec, x, mu, drift_rows, dw, dt: float) -> np.ndarray:
+    """One Euler step of the slow state: x + drift*dt + sigma1(x, mu)·dw.
+
+    ``drift_rows`` is the drift already evaluated at the step's start: b1
+    for the slow-fast system, the averaged drift for the averaged one.
+    """
+    return x + np.asarray(drift_rows) * dt + _apply_sigma(model.sigma1(x, mu), dw, x.shape[-1])
+
+
+def _fast_step(model: ModelSpec, x, mu, z, nu, dw, h: float, noise_scale: float) -> np.ndarray:
+    """One Euler step of the fast state: z + b2*h + (sigma2·dw)*noise_scale."""
+    drift = np.asarray(model.b2(x, mu, z, nu)) * h
+    noise = _apply_sigma(model.sigma2(x, mu, z, nu), dw, z.shape[-1])
+    if noise_scale != 1.0:
+        # a * 1.0 == a exactly, so the unit-scale frozen run skips the product
+        noise = noise * noise_scale
+    return z + drift + noise
 
 
 def _check_finite(arr: np.ndarray, what: str, step: int, time: float) -> None:
@@ -268,7 +286,6 @@ def _slow_increments(model: ModelSpec, cfg: SdeConfig) -> np.ndarray:
 def simulate_slow_fast(
     model: ModelSpec,
     cfg: SdeConfig,
-    check_stability: bool = True,
     *,
     _dw_slow: Optional[np.ndarray] = None,
 ) -> PathEnsemble:
@@ -278,13 +295,12 @@ def simulate_slow_fast(
     already drew, which is exactly the one drawn here otherwise.
     """
 
-    if check_stability:
-        validate_stability(model, cfg)
+    validate_stability(model, cfg)
     n_steps = cfg.n_steps
     dt = cfg.dt_macro
     ksub = cfg.micro_substeps
     dts = dt / ksub
-    eps = cfg.epsilon
+    h = dts / cfg.epsilon
     times = np.arange(n_steps + 1) * dt
 
     x = _tile_state(model.x0, cfg.N)
@@ -293,7 +309,7 @@ def simulate_slow_fast(
     dw_fast = normal_increments(
         cfg.seed, FAST_LABEL, n_steps * ksub, cfg.N, model.m, math.sqrt(dts)
     )
-    inv_sqrt_eps = 1.0 / math.sqrt(eps)
+    inv_sqrt_eps = 1.0 / math.sqrt(cfg.epsilon)
 
     slow = np.empty((n_steps + 1,) + x.shape)
     fast = np.empty((n_steps + 1,) + z.shape)
@@ -301,19 +317,10 @@ def simulate_slow_fast(
     for k in range(n_steps):
         mu = summarize_points(x)
         nu = summarize_points(z)
-        x_macro = x
-        x = (
-            x
-            + np.asarray(model.b1(x_macro, mu, z)) * dt
-            + _apply_sigma(model.sigma1(x_macro, mu), dw_slow[k])
-        )
-        for s in range(ksub):
-            dw = dw_fast[k * ksub + s]
-            z = (
-                z
-                + np.asarray(model.b2(x_macro, mu, z, nu)) * (dts / eps)
-                + _apply_sigma(model.sigma2(x_macro, mu, z, nu), dw) * inv_sqrt_eps
-            )
+        x_next = _slow_step(model, x, mu, model.b1(x, mu, z), dw_slow[k], dt)
+        for dw in dw_fast[k * ksub : (k + 1) * ksub]:
+            z = _fast_step(model, x, mu, z, nu, dw, h, inv_sqrt_eps)
+        x = x_next
         _check_finite(x, "slow state", k + 1, times[k + 1])
         _check_finite(z, "fast state", k + 1, times[k + 1])
         slow[k + 1], fast[k + 1] = x, z
@@ -349,11 +356,7 @@ def simulate_frozen(
     fast[0] = z
     for k in range(n_steps):
         nu = summarize_points(z)
-        z = (
-            z
-            + np.asarray(model.b2(x_frozen, mu, z, nu)) * dt
-            + _apply_sigma(model.sigma2(x_frozen, mu, z, nu), dw[k])
-        )
+        z = _fast_step(model, x_frozen, mu, z, nu, dw[k], dt, 1.0)
         _check_finite(z, "frozen fast state", k + 1, times[k + 1])
         fast[k + 1] = z
     tag = {
@@ -390,11 +393,7 @@ def simulate_averaged(
     slow[0] = x
     for k in range(n_steps):
         mu = summarize_points(x)
-        x = (
-            x
-            + np.asarray(drift(x, mu)) * dt
-            + _apply_sigma(model.sigma1(x, mu), dw_slow[k])
-        )
+        x = _slow_step(model, x, mu, drift(x, mu), dw_slow[k], dt)
         _check_finite(x, "averaged slow state", k + 1, times[k + 1])
         slow[k + 1] = x
     return PathEnsemble(times=times, slow=slow, noise_tag=_noise_tag(cfg, (SLOW_LABEL,)))
@@ -448,13 +447,13 @@ def simulate_auxiliary(model: ModelSpec, slow_path: PathEnsemble, cfg: SdeConfig
     dt = cfg.dt_macro
     ksub = cfg.micro_substeps
     dts = dt / ksub
-    eps = cfg.epsilon
+    h = dts / cfg.epsilon
     times = slow_path.times
     seg = max(1, int(round(cfg.delta_eps / dt)))
     dw_fast = normal_increments(
         cfg.seed, FAST_LABEL, n_steps * ksub, cfg.N, model.m, math.sqrt(dts)
     )
-    inv_sqrt_eps = 1.0 / math.sqrt(eps)
+    inv_sqrt_eps = 1.0 / math.sqrt(cfg.epsilon)
 
     aux = np.empty((n_steps + 1,) + slow_path.fast.shape[1:])
     aux[0] = slow_path.fast[0]
@@ -465,13 +464,8 @@ def simulate_auxiliary(model: ModelSpec, slow_path: PathEnsemble, cfg: SdeConfig
             mu_frozen = summarize_points(x_frozen)
             _check_finite(zh, "auxiliary fast state", k, times[k])
         nu = summarize_points(zh)
-        for s in range(ksub):
-            dw = dw_fast[k * ksub + s]
-            zh = (
-                zh
-                + np.asarray(model.b2(x_frozen, mu_frozen, zh, nu)) * (dts / eps)
-                + _apply_sigma(model.sigma2(x_frozen, mu_frozen, zh, nu), dw) * inv_sqrt_eps
-            )
+        for dw in dw_fast[k * ksub : (k + 1) * ksub]:
+            zh = _fast_step(model, x_frozen, mu_frozen, zh, nu, dw, h, inv_sqrt_eps)
         _check_finite(zh, "auxiliary fast state", k + 1, times[k + 1])
         aux[k + 1] = zh
     return PathEnsemble(

@@ -127,6 +127,24 @@ def test_validation_error_stability_suggests_substeps():
     assert "micro_substeps" in str(err.value)
 
 
+def test_parse_time_stability_rule_matches_the_run(tmp_path):
+    # gamma=3.5, dt=0.01: 70 substeps at eps 0.002 and 7 at eps 0.02 sit on float ties
+    model = {"params": {"gamma": 3.5}}
+    sde = {"epsilon": 0.002, "micro_substeps": 70, "T": 0.02, "N": 4}
+    run_command(parse_config(cfg_text(model=model, sde=sde, output_dir=str(tmp_path))))
+    with pytest.raises(ValidationError) as err:
+        parse_config(cfg_text(model=model, sde={"epsilon": 0.02, "micro_substeps": 7}))
+    assert "micro_substeps=7," in str(err.value)
+    assert "micro_substeps >= 8" in str(err.value)
+
+
+def test_validation_error_empty_p_orders():
+    sweep = {"eps_grid": [0.1, 0.05], "mc_reps": 4, "p_orders": []}
+    with pytest.raises(ValidationError) as err:
+        parse_config(cfg_text(command="sweep-averaging", sweep=sweep))
+    assert "p_orders" in str(err.value)
+
+
 def test_validation_error_missing_section():
     doc = json.loads(cfg_text(command="filter"))
     with pytest.raises(ValidationError) as err:

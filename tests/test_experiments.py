@@ -19,6 +19,7 @@ from mvx_avgfilter.experiments import (
     SweepConfig,
     SweepReport,
     SweepRow,
+    _substeps_for,
     averaging_error_sweep,
     delta_schedule,
     filter_error_sweep,
@@ -72,6 +73,17 @@ def test_sweep_config_validation():
         SweepConfig(eps_grid=(0.1, 0.05), mc_reps=3, base_sde=ok)
     with pytest.raises(InvalidParams):
         SweepConfig(eps_grid=(0.1, 0.05), mc_reps=4, base_sde=ok, p_orders=(0,))
+    with pytest.raises(InvalidParams, match="p_orders"):
+        SweepConfig(eps_grid=(0.1, 0.05), mc_reps=4, base_sde=ok, p_orders=())
+
+
+def test_sweep_runs_the_substeps_it_picks_at_a_tie():
+    # dt*gamma/(0.25*eps) = 70.0 exactly: the sweep picks 70 and the simulator must accept 70
+    model = ref_model(LinearModelParams(gamma=3.5))
+    sweep = SweepConfig(eps_grid=(0.002,), mc_reps=4, base_sde=base_sde(T=0.02, N=8))
+    assert _substeps_for(sweep, model) == [70]
+    report = averaging_error_sweep(model, make_drift_oracle(model, mode="analytic-linear"), sweep)
+    assert all(math.isfinite(r.mean_error) for r in report.rows)
 
 
 # ===== sup_path_error =====

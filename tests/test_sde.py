@@ -12,6 +12,7 @@ Independent routes used as oracles:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,8 +25,14 @@ from mvx_avgfilter.errors import (
     InvalidParams,
     MissingDelta,
 )
-from mvx_avgfilter.filtering import FilterConfig, generate_observations, run_filter
-from mvx_avgfilter.measure import summarize
+from mvx_avgfilter.filtering import (
+    FilterConfig,
+    generate_observations,
+    get_functional,
+    log_likelihood_increment,
+    run_filter,
+)
+from mvx_avgfilter.measure import summarize, summarize_points, systematic_resample_indices
 from mvx_avgfilter.model import LinearModelParams, ModelSpec, make_linear_model
 from mvx_avgfilter.sde import (
     FrozenRunConfig,
@@ -39,7 +46,7 @@ from mvx_avgfilter.sde import (
     suggest_micro_substeps,
     validate_stability,
 )
-from mvx_avgfilter.streams import normal_increments
+from mvx_avgfilter.streams import normal_increments, stream
 
 REF = LinearModelParams()
 
@@ -72,6 +79,21 @@ def test_stability_rule_suggests_substeps():
     assert suggest_micro_substeps(0.01, 0.01, 2.0) == 8
     ok = SdeConfig(epsilon=0.01, T=1.0, dt_macro=0.01, micro_substeps=8, N=10)
     validate_stability(model, ok)
+
+
+@pytest.mark.parametrize("eps,needed", [(0.002, 70), (0.02, 8)])
+def test_stability_rule_is_the_suggested_count_at_ties(eps, needed):
+    # dt*gamma/(cap*eps) lands on a float tie at both points: 70.0 and 7.000000000000001
+    model = ref_model(LinearModelParams(gamma=3.5))
+    assert suggest_micro_substeps(0.01, eps, 3.5) == needed
+    ok = SdeConfig(epsilon=eps, T=0.02, dt_macro=0.01, micro_substeps=needed, N=4)
+    validate_stability(model, ok)
+    simulate_slow_fast(model, ok)
+    coarse = dataclasses.replace(ok, micro_substeps=needed - 1)
+    with pytest.raises(InvalidParams) as err:
+        validate_stability(model, coarse)
+    assert f"micro_substeps={needed - 1}," in str(err.value)
+    assert str(err.value).endswith(f"needs micro_substeps >= {needed}")
 
 
 def test_dissipativity_probe_linear():
@@ -510,3 +532,252 @@ def test_diffusion_of_the_wrong_width_is_refused(shape):
     model = mixed_dims_model(1, 2, 2, sigma1=np.full(shape, 0.5))
     with pytest.raises(DimensionMismatch, match="2 columns but the noise increments have 1"):
         simulate_slow_fast(model, MIXED_CFG)
+
+
+# which diffusion each run gets one row too many of: sigma1 (n=1) or sigma2 (m=2)
+BAD_ROWS = {
+    "slow-fast-sigma1": "2 rows but the state width is 1",
+    "slow-fast-sigma2": "3 rows but the state width is 2",
+    "averaged": "2 rows but the state width is 1",
+    "frozen": "3 rows but the state width is 2",
+    "auxiliary": "3 rows but the state width is 2",
+    "filter-multiscale": "2 rows but the state width is 1",
+    "filter-averaged": "2 rows but the state width is 1",
+}
+
+
+@pytest.mark.parametrize("run", sorted(BAD_ROWS))
+def test_diffusion_with_the_wrong_row_count_is_refused(run):
+    good = mixed_dims_model(1, 2, 2)
+    bad_slow = mixed_dims_model(1, 2, 2, sigma1=np.full((2, 1), 0.5))
+    bad_fast = dataclasses.replace(good, sigma2=lambda x, mu, z, nu: np.full((3, 2), 0.7))
+    cfg = MIXED_CFG
+    path = simulate_slow_fast(good, cfg)
+    obs = generate_observations(good, path, 0, cfg.dt_macro, 7)
+    fcfg = FilterConfig(Nf=20, resample_threshold=0.5, functional="tanh")
+    frozen_cfg = FrozenRunConfig(M=9, dt=0.05, burn_in=0.1, avg_window=0.2, seed=2)
+    mu = summarize_points(path.slow[-1])
+    runs = {
+        "slow-fast-sigma1": lambda: simulate_slow_fast(bad_slow, cfg),
+        "slow-fast-sigma2": lambda: simulate_slow_fast(bad_fast, cfg),
+        "averaged": lambda: simulate_averaged(bad_slow, lambda x, mu: -x, cfg),
+        "frozen": lambda: simulate_frozen(bad_fast, np.zeros(1), mu, frozen_cfg),
+        "auxiliary": lambda: simulate_auxiliary(bad_fast, path, cfg),
+        "filter-multiscale": lambda: run_filter("multiscale", bad_slow, None, obs, fcfg, cfg),
+        "filter-averaged": lambda: run_filter(
+            "averaged", bad_slow, lambda x, mu: -x, obs, fcfg, cfg
+        ),
+    }
+    with pytest.raises(DimensionMismatch, match=BAD_ROWS[run]):
+        runs[run]()
+
+
+# ===== one step kernel: bitwise against the hand-written Euler loops =====
+#
+# The loops below are the integrators as they were written out inline, one
+# per simulator and one per filter arm.  They are the reference the shared
+# step kernels must reproduce bit for bit.
+
+
+def _reference_slow_fast(model, cfg):
+    ksub, dt, eps = cfg.micro_substeps, cfg.dt_macro, cfg.epsilon
+    dts = dt / ksub
+    x = np.tile(np.asarray(model.x0, dtype=float).reshape(1, -1), (cfg.N, 1))
+    z = np.tile(np.asarray(model.z0, dtype=float).reshape(1, -1), (cfg.N, 1))
+    dw_slow = normal_increments(
+        cfg.seed, "signal-slow", cfg.n_steps, cfg.N, model.n, math.sqrt(dt)
+    )
+    dw_fast = normal_increments(
+        cfg.seed, "signal-fast", cfg.n_steps * ksub, cfg.N, model.m, math.sqrt(dts)
+    )
+    inv_sqrt_eps = 1.0 / math.sqrt(eps)
+    slow, fast = [x], [z]
+    for k in range(cfg.n_steps):
+        mu = summarize_points(x)
+        nu = summarize_points(z)
+        x_macro = x
+        x = (
+            x
+            + np.asarray(model.b1(x_macro, mu, z)) * dt
+            + _sigma_dw(model.sigma1(x_macro, mu), dw_slow[k])
+        )
+        for s in range(ksub):
+            dw = dw_fast[k * ksub + s]
+            z = (
+                z
+                + np.asarray(model.b2(x_macro, mu, z, nu)) * (dts / eps)
+                + _sigma_dw(model.sigma2(x_macro, mu, z, nu), dw) * inv_sqrt_eps
+            )
+        slow.append(x)
+        fast.append(z)
+    return np.stack(slow), np.stack(fast)
+
+
+def _reference_frozen(model, x, mu, cfg):
+    x_frozen = np.tile(np.asarray(x, dtype=float).reshape(1, -1), (cfg.M, 1))
+    z = np.tile(np.asarray(model.z0, dtype=float).reshape(1, -1), (cfg.M, 1))
+    dw = normal_increments(cfg.seed, "frozen", cfg.n_steps, cfg.M, model.m, math.sqrt(cfg.dt))
+    fast = [z]
+    for k in range(cfg.n_steps):
+        nu = summarize_points(z)
+        z = (
+            z
+            + np.asarray(model.b2(x_frozen, mu, z, nu)) * cfg.dt
+            + _sigma_dw(model.sigma2(x_frozen, mu, z, nu), dw[k])
+        )
+        fast.append(z)
+    return np.stack(fast)
+
+
+def _reference_averaged(model, drift, cfg):
+    dt = cfg.dt_macro
+    x = np.tile(np.asarray(model.x0, dtype=float).reshape(1, -1), (cfg.N, 1))
+    dw_slow = normal_increments(
+        cfg.seed, "signal-slow", cfg.n_steps, cfg.N, model.n, math.sqrt(dt)
+    )
+    slow = [x]
+    for k in range(cfg.n_steps):
+        mu = summarize_points(x)
+        x = x + np.asarray(drift(x, mu)) * dt + _sigma_dw(model.sigma1(x, mu), dw_slow[k])
+        slow.append(x)
+    return np.stack(slow)
+
+
+def _reference_auxiliary(model, path, cfg):
+    ksub, dt, eps = cfg.micro_substeps, cfg.dt_macro, cfg.epsilon
+    dts = dt / ksub
+    seg = max(1, int(round(cfg.delta_eps / dt)))
+    dw_fast = normal_increments(
+        cfg.seed, "signal-fast", cfg.n_steps * ksub, cfg.N, model.m, math.sqrt(dts)
+    )
+    inv_sqrt_eps = 1.0 / math.sqrt(eps)
+    aux = [path.fast[0]]
+    for k in range(cfg.n_steps):
+        if k % seg == 0:
+            zh = path.fast[k]
+            x_frozen = path.slow[k]
+            mu_frozen = summarize_points(x_frozen)
+        nu = summarize_points(zh)
+        for s in range(ksub):
+            dw = dw_fast[k * ksub + s]
+            zh = (
+                zh
+                + np.asarray(model.b2(x_frozen, mu_frozen, zh, nu)) * (dts / eps)
+                + _sigma_dw(model.sigma2(x_frozen, mu_frozen, zh, nu), dw) * inv_sqrt_eps
+            )
+        aux.append(zh)
+    return np.stack(aux)
+
+
+def _reference_filter(kind, model, drift, obs, cfg, sde_cfg):
+    n_steps, dt, nf = sde_cfg.n_steps, sde_cfg.dt_macro, cfg.Nf
+    multiscale = kind == "multiscale"
+    f_func = get_functional(cfg.functional)
+    x = np.tile(np.asarray(model.x0, dtype=float).reshape(1, -1), (nf, 1))
+    dw_slow = normal_increments(sde_cfg.seed, "filter-slow", n_steps, nf, model.n, math.sqrt(dt))
+    if multiscale:
+        z = np.tile(np.asarray(model.z0, dtype=float).reshape(1, -1), (nf, 1))
+        ksub = sde_cfg.micro_substeps
+        dts = dt / ksub
+        dw_fast = normal_increments(
+            sde_cfg.seed, "filter-fast", n_steps * ksub, nf, model.m, math.sqrt(dts)
+        )
+        inv_sqrt_eps = 1.0 / math.sqrt(sde_cfg.epsilon)
+    resample_rng = stream(sde_cfg.seed, "filter-resample")
+    pi, rho, ess = [], [], []
+    logw = np.zeros(nf)
+    log_offset = 0.0
+    u = np.exp(logw)
+    s = u.sum()
+    pi.append(float((u * f_func(x, obs.signal_law_trace[0])).sum() / s))
+    ess.append(float(s * s / (u @ u)))
+    rho.append(0.0)
+    for k in range(n_steps):
+        mu_k = obs.signal_law_trace[k]
+        logw = logw + log_likelihood_increment(model.h(x, mu_k), obs.increments[k], dt)
+        mx = logw.max()
+        u = np.exp(logw - mx)
+        s = u.sum()
+        ess_k = float(s * s / (u @ u))
+        log_rho_next = log_offset + mx + math.log(s / nf)
+        if ess_k < cfg.resample_threshold * nf:
+            idx = systematic_resample_indices(u / s, float(resample_rng.random()))
+            x = x[idx]
+            if multiscale:
+                z = z[idx]
+            logw = np.zeros(nf)
+            u = np.ones(nf)
+            s = u.sum()
+            log_offset = log_rho_next
+        x_macro = x
+        if multiscale:
+            nu_k = obs.fast_law_trace[k]
+            x = (
+                x
+                + np.asarray(model.b1(x_macro, mu_k, z)) * dt
+                + _sigma_dw(model.sigma1(x_macro, mu_k), dw_slow[k])
+            )
+            for s_i in range(ksub):
+                dw = dw_fast[k * ksub + s_i]
+                z = (
+                    z
+                    + np.asarray(model.b2(x_macro, mu_k, z, nu_k)) * (dts / sde_cfg.epsilon)
+                    + _sigma_dw(model.sigma2(x_macro, mu_k, z, nu_k), dw) * inv_sqrt_eps
+                )
+        else:
+            x = (
+                x
+                + np.asarray(drift(x, mu_k)) * dt
+                + _sigma_dw(model.sigma1(x, mu_k), dw_slow[k])
+            )
+        fv = np.asarray(f_func(x, obs.signal_law_trace[k + 1]), dtype=float)
+        pi.append(float((u * fv).sum() / s))
+        ess.append(ess_k)
+        rho.append(log_rho_next)
+    return np.array(pi), np.array(ess), np.array(rho)
+
+
+def _sigma_dw(sig, dw):
+    sig = np.asarray(sig, dtype=float)
+    return dw @ sig.T if sig.ndim == 2 else np.einsum("nij,nj->ni", sig, dw)
+
+
+KERNEL_MODELS = {
+    "linear-2": lambda: make_linear_model(
+        LinearModelParams(), n=2, m=2, l=2, x0=[1.0, -0.5], z0=[0.5, 1.0]
+    ),
+    "mixed-1-2-2": lambda: mixed_dims_model(1, 2, 2),
+    "mixed-2-3-1": lambda: mixed_dims_model(2, 3, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_step_kernels_reproduce_the_hand_written_loops(name):
+    model = KERNEL_MODELS[name]()
+    cfg = SdeConfig(
+        epsilon=0.1, T=0.2, dt_macro=0.02, micro_substeps=4, N=12, seed=3, delta_eps=0.04
+    )
+    drift = lambda x, mu: -x + 0.1 * mu.mean  # noqa: E731
+
+    path = simulate_slow_fast(model, cfg)
+    ref_slow, ref_fast = _reference_slow_fast(model, cfg)
+    assert np.array_equal(path.slow, ref_slow) and np.array_equal(path.fast, ref_fast)
+    averaged = simulate_averaged(model, drift, cfg)
+    assert np.array_equal(averaged.slow, _reference_averaged(model, drift, cfg))
+    aux = simulate_auxiliary(model, path, cfg)
+    assert np.array_equal(aux.aux, _reference_auxiliary(model, path, cfg))
+    frozen_cfg = FrozenRunConfig(M=9, dt=0.05, burn_in=0.1, avg_window=0.2, seed=2)
+    x = np.full(model.n, 0.3)
+    mu = summarize_points(path.slow[-1])
+    frozen = simulate_frozen(model, x, mu, frozen_cfg)
+    assert np.array_equal(frozen.fast, _reference_frozen(model, x, mu, frozen_cfg))
+
+    obs = generate_observations(model, path, 0, cfg.dt_macro, 7)
+    fcfg = FilterConfig(Nf=20, resample_threshold=1.0, functional="tanh")
+    for kind, arm_drift in (("multiscale", None), ("averaged", drift)):
+        traj = run_filter(kind, model, arm_drift, obs, fcfg, cfg)
+        pi, ess, rho = _reference_filter(kind, model, arm_drift, obs, fcfg, cfg)
+        assert traj.resample_events  # threshold 1.0 resamples on the first step
+        assert np.array_equal(traj.pi_F, pi)
+        assert np.array_equal(traj.ess, ess)
+        assert np.array_equal(traj.log_rho1, rho)
