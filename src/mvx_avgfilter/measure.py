@@ -2,12 +2,9 @@
 
 Laws of the slow and fast components are carried around as weighted particle
 clouds. Coefficients and functionals only ever see a MeasureSummary (mean,
-second moment, particle count, plus a handle back to the cloud for custom
-integration), which keeps evaluation O(1) after a one-pass reduction.
-
-The distribution metric reported by the toolkit is an empirical
-1-Wasserstein surrogate ("W1-surrogate" in all outputs): exact quantile
-coupling in one dimension, summed over coordinates above that.
+second moment, particle count), which keeps evaluation O(1) after a one-pass
+reduction. Only ``summarize`` attaches a handle back to the cloud for custom
+integration; ``summarize_points``, which the integrators use, does not.
 """
 
 from __future__ import annotations
@@ -16,11 +13,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import wasserstein_distance
 
 from .errors import (
     DegenerateWeights,
-    DimensionMismatch,
     InvalidParams,
     MvxError,
     NonFiniteResult,
@@ -123,26 +118,6 @@ def integrate(cloud: ParticleCloud, phi: Callable[[np.ndarray], float]) -> float
     if not np.isfinite(vals).all():
         raise NonFiniteResult("phi produced a non-finite value on the cloud support")
     return float(cloud.weights @ vals)
-
-
-def rho_estimate(a: ParticleCloud, b: ParticleCloud, blend: float = 0.0) -> float:
-    """W1-surrogate distance between two clouds.
-
-    d=1: exact empirical 1-Wasserstein via quantile coupling. d>1: sum of
-    coordinate-wise W1 plus blend * |norm(a)^2 - norm(b)^2| (blend defaults
-    to 0, keeping the pure transport part).
-    """
-    if a.d != b.d:
-        raise DimensionMismatch(f"cloud dimensions differ: {a.d} vs {b.d}")
-    total = 0.0
-    for j in range(a.d):
-        total += float(
-            wasserstein_distance(a.points[:, j], b.points[:, j], a.weights, b.weights)
-        )
-    if blend != 0.0 and a.d > 1:
-        sa, sb = summarize(a), summarize(b)
-        total += blend * abs(sa.second_moment - sb.second_moment)
-    return total
 
 
 def systematic_resample_indices(weights: np.ndarray, u: float) -> np.ndarray:

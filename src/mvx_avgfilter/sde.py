@@ -14,6 +14,7 @@ perturbs the increments of existing particles.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -175,12 +176,20 @@ def estimate_dissipativity(
     return worst
 
 
+# Probed rates per model instance (ModelSpec compares by identity). The probe
+# is deterministic, so two threads racing on a new model only repeat it.
+_probed_rates: "weakref.WeakKeyDictionary[ModelSpec, float]" = weakref.WeakKeyDictionary()
+
+
 def contraction_rate(model: ModelSpec) -> float:
     """Contraction rate of the fast drift: gamma for the linear family, else
-    :func:`estimate_dissipativity`."""
+    :func:`estimate_dissipativity`, probed once per model instance."""
     if model.linear_params is not None:
         return float(model.linear_params.gamma)
-    return estimate_dissipativity(model)
+    rate = _probed_rates.get(model)
+    if rate is None:
+        rate = _probed_rates[model] = estimate_dissipativity(model)
+    return rate
 
 
 def suggest_micro_substeps(dt_macro: float, epsilon: float, gamma_est: float) -> int:
@@ -345,11 +354,21 @@ def simulate_frozen(
     recomputed every step (unit time scale, no substepping).
     """
 
+    z0 = model.z0 if z0 is None else z0
+    for what, v, width in (
+        ("slow input x", x, model.n),
+        ("slow law mean", mu.mean, model.n),
+        ("initial fast state", z0, model.m),
+    ):
+        if np.size(v) != width:
+            raise DimensionMismatch(
+                f"{what} has {np.size(v)} components but the model width is {width}"
+            )
     n_steps = cfg.n_steps
     dt = cfg.dt
     times = np.arange(n_steps + 1) * dt
     x_frozen = _tile_state(x, cfg.M)
-    z = _tile_state(model.z0 if z0 is None else z0, cfg.M)
+    z = _tile_state(z0, cfg.M)
     dw = normal_increments(cfg.seed, FROZEN_LABEL, n_steps, cfg.M, model.m, math.sqrt(dt))
 
     fast = np.empty((n_steps + 1,) + z.shape)

@@ -22,6 +22,8 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+# numpy 2 loads numpy.random lazily; load it here, not inside the first noise draw
+import numpy.random  # noqa: F401
 
 # 64-bit mask; SeedSequence entropy words are arbitrary-size ints but we
 # keep everything inside u64 so digests serialize predictably.

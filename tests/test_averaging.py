@@ -26,6 +26,7 @@ from mvx_avgfilter.averaging import (
     smoothed_deviations,
 )
 from mvx_avgfilter.errors import (
+    DimensionMismatch,
     FitFailure,
     InsufficientWindow,
     InvalidParams,
@@ -34,7 +35,7 @@ from mvx_avgfilter.errors import (
 )
 from mvx_avgfilter.measure import dirac_summary, summarize_points
 from mvx_avgfilter.model import LinearModelParams, ModelSpec, make_linear_model
-from mvx_avgfilter.sde import FrozenRunConfig
+from mvx_avgfilter.sde import FrozenRunConfig, simulate_frozen
 
 REF = LinearModelParams()
 
@@ -231,6 +232,35 @@ def test_decay_profile_fit_failure_at_stationarity():
             t_grid=np.linspace(0.0, 2.0, 11),
             z_init=np.array([2.0 / 3.0]),
         )
+
+
+# ===== input widths of the frozen runs =====
+
+# (x, mean of mu, z0) with one of them too wide for the n = m = 1 model
+WRONG_WIDTH = {
+    "x": (np.array([1.0, 2.0]), [1.0], None, "slow input x has 2 components"),
+    "mu": (np.array([1.0]), [1.0, 2.0], None, "slow law mean has 2 components"),
+    "z0": (np.array([1.0]), [1.0], np.zeros(2), "initial fast state has 2 components"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_WIDTH))
+def test_frozen_runs_refuse_inputs_of_the_wrong_width(case):
+    x, mu_at, z0, message = WRONG_WIDTH[case]
+    model, mu = ref_model(), dirac_summary(mu_at)
+    cfg = FrozenRunConfig(M=100, dt=0.05, burn_in=0.5, avg_window=1.0, seed=5)
+    runs = [
+        lambda: simulate_frozen(model, x, mu, cfg, z0=z0),
+        lambda: ergodic_decay_profile(model, x, mu, cfg, z_init=z0),
+    ]
+    if z0 is None:  # these two always start from model.z0
+        runs += [
+            lambda: estimate_bbar(model, x, mu, cfg),
+            lambda: invariant_moments(model, x, mu, cfg),
+        ]
+    for run in runs:
+        with pytest.raises(DimensionMismatch, match=message):
+            run()
 
 
 # ===== drift oracle =====

@@ -10,11 +10,15 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import mvx_avgfilter
 from mvx_avgfilter.cli import main, run_command
 from mvx_avgfilter.config import (
+    COMMANDS,
     RunConfig,
     config_digest,
     parse_config,
@@ -381,3 +385,54 @@ def test_threads_do_not_change_sweep_output(tmp_path, monkeypatch):
     a = read(tmp_path / "a" / "sweep-averaging.csv")
     assert a == read(tmp_path / "b" / "sweep-averaging.csv")
     assert a == read(tmp_path / "c" / "sweep-averaging.csv")
+
+
+# ===== no scipy at run time =====
+
+TINY_FROZEN = {"M": 20, "dt": 0.05, "burn_in": 0.1, "avg_window": 0.5, "seed": 3,
+               "x": [1.0], "mu_mean": [1.0]}
+TINY_FILTER = {"Nf": 20, "resample_threshold": 0.5, "functional": "tanh", "p": 1}
+TINY_SWEEP = {"eps_grid": [0.1, 0.05], "mc_reps": 4, "p_orders": [1], "functional": "tanh"}
+# one config per command, the filter command once per filter kind
+TINY_RUNS = {
+    "simulate": {},
+    "frozen": {"frozen": TINY_FROZEN},
+    "bbar": {"frozen": TINY_FROZEN},
+    "filter-multiscale": {"command": "filter", "filter": dict(TINY_FILTER, kind="multiscale")},
+    "filter-averaged": {"command": "filter", "filter": dict(TINY_FILTER, kind="averaged")},
+    "probe": {"probe": {"sample_count": 50}},
+    "sweep-averaging": {"sde": {"N": 10, "T": 0.1}, "sweep": TINY_SWEEP},
+    "sweep-filter": {"sde": {"N": 10, "T": 0.1}, "sweep": TINY_SWEEP, "filter": TINY_FILTER},
+}
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import mvx_avgfilter.cli
+assert "numpy.random" in sys.modules, "numpy.random is not loaded at import"
+runs = json.loads(sys.argv[1])
+codes = {name: mvx_avgfilter.cli.main(["--config", cfg, "--out", out])
+         for name, (cfg, out) in runs.items()}
+print(json.dumps(codes))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    runs, commands = {}, set()
+    for name, overrides in TINY_RUNS.items():
+        text = cfg_text(**dict({"command": name}, **overrides))
+        commands.add(json.loads(text)["command"])
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(text, encoding="utf-8")
+        runs[name] = (str(cfg_path), str(tmp_path / name))
+    assert commands == set(COMMANDS)
+    src = os.path.dirname(os.path.dirname(mvx_avgfilter.__file__))
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == {name: 0 for name in TINY_RUNS}, proc.stderr

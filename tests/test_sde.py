@@ -18,6 +18,7 @@ import math
 import numpy as np
 import pytest
 
+from mvx_avgfilter import sde
 from mvx_avgfilter.errors import (
     DimensionMismatch,
     GridMismatch,
@@ -25,6 +26,7 @@ from mvx_avgfilter.errors import (
     InvalidParams,
     MissingDelta,
 )
+from mvx_avgfilter.experiments import SweepConfig, averaging_error_sweep, filter_error_sweep
 from mvx_avgfilter.filtering import (
     FilterConfig,
     generate_observations,
@@ -570,6 +572,30 @@ def test_diffusion_with_the_wrong_row_count_is_refused(run):
     }
     with pytest.raises(DimensionMismatch, match=BAD_ROWS[run]):
         runs[run]()
+
+
+@pytest.mark.parametrize("sweep", ["averaging", "filter", "filter-multiscale-arms"])
+def test_each_sweep_probes_the_model_once(sweep, monkeypatch):
+    probe = sde.estimate_dissipativity
+    calls = []
+    monkeypatch.setattr(
+        sde, "estimate_dissipativity", lambda model: calls.append(model) or probe(model)
+    )
+    model = mixed_dims_model(1, 2, 2)
+    cfg = SweepConfig(
+        eps_grid=(0.1, 0.05),
+        mc_reps=4,
+        base_sde=MIXED_CFG,
+        filter_cfg=FilterConfig(Nf=20, resample_threshold=0.5, functional="tanh"),
+    )
+    drift = lambda x, mu: -x  # noqa: E731
+    if sweep == "averaging":
+        averaging_error_sweep(model, drift, cfg)
+    elif sweep == "filter":
+        filter_error_sweep(model, drift, "tanh", cfg)
+    else:
+        filter_error_sweep(model, None, "tanh", cfg, arms=("multiscale", "multiscale"))
+    assert calls == [model]
 
 
 # ===== one step kernel: bitwise against the hand-written Euler loops =====
