@@ -263,7 +263,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json", "both"), default=None)
     parser.add_argument(
         "--threads", default=None,
-        help="worker threads for sweeps (integer or 'auto'; env MVX_THREADS)",
+        help="accepted and checked (integer >= 1 or 'auto'; env MVX_THREADS) but has no "
+        "effect: sweeps run their jobs in order on one thread",
     )
     return parser
 

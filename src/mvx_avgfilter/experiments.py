@@ -6,7 +6,9 @@ and measures the pathwise sup discrepancy, `filter_error_sweep` feeds one
 observation record to both filter variants and measures how far their
 conditional estimates drift apart.  Every (epsilon, rep) cell is an
 independent job with its own derived seed, so reports are bit-identical
-across reruns and across thread counts.
+across reruns.  The jobs run one after another on the calling thread, in
+`_job_keys` order: threads do not overlap them, because the jobs' numpy
+calls and noise re-keying hold the GIL.
 
 The grid sup understates the continuous-time sup by O(dt^{1/2}); that bias
 is recorded in the report config, not corrected.
@@ -19,7 +21,6 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -89,7 +90,8 @@ class SweepConfig:
     base_sde supplies T, dt_macro, particle count and the master seed; its
     epsilon and micro_substeps fields are overridden per grid point.  Each
     (epsilon, rep) job reseeds from (seed, kind, epsilon, rep), so results
-    do not depend on execution order or on `threads`.
+    do not depend on execution order.  `threads` is validated (>= 1) but
+    has no effect: the jobs run in order on the calling thread.
     """
 
     eps_grid: Tuple[float, ...]
@@ -167,12 +169,8 @@ def _job_keys(sweep: SweepConfig) -> List[Tuple[int, int]]:
 
 
 def _run_jobs(sweep: SweepConfig, job: Callable) -> Dict[Tuple[int, int], Dict[int, float]]:
-    keys = _job_keys(sweep)
-    if sweep.threads <= 1:
-        return {k: job(k) for k in keys}
-    with ThreadPoolExecutor(max_workers=sweep.threads) as pool:
-        values = list(pool.map(job, keys))
-    return dict(zip(keys, values))
+    """Run every job on the calling thread, in `_job_keys` order."""
+    return {k: job(k) for k in _job_keys(sweep)}
 
 
 def _fit_loglog(eps_values, means) -> Tuple[float, float, float]:

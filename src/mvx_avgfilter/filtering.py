@@ -412,6 +412,8 @@ def martingale_check(
 
     if mc_runs < 1000:
         raise InvalidParams(f"need mc_runs >= 1000, got {mc_runs}")
+    if chunk < 2:
+        raise InvalidParams(f"need chunk >= 2 runs per ensemble, got {chunk}")
     ratio = dt / sde_cfg.dt_macro
     stride = int(round(ratio))
     if stride < 1 or abs(ratio - stride) > 1e-6:

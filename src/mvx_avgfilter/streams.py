@@ -12,23 +12,32 @@ perturbs an existing stream.
 ``normal_increments`` draws the same numbers for a whole block without
 building a SeedSequence or a Philox per stream: it derives every stream's
 Philox key in one vectorised pass of numpy's SeedSequence entropy mix
-(documented as stable) and re-keys a single generator per stream. The
-stream layout is unchanged; each (particle, component) stream is the one
+(documented as stable) and re-keys a single generator per stream. Each
+stream is drawn into one contiguous row of a bounded block of rows, and
+the block's transpose is written into the result. The stream layout is
+unchanged; each (particle, component) stream is the one
 ``stream(seed, label, particle, component)`` returns.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 # numpy 2 loads numpy.random lazily; load it here, not inside the first noise draw
 import numpy.random  # noqa: F401
 
+from .errors import InvalidParams
+
 # 64-bit mask; SeedSequence entropy words are arbitrary-size ints but we
 # keep everything inside u64 so digests serialize predictably.
 _U64 = (1 << 64) - 1
 _U32 = (1 << 32) - 1
+
+# Streams per row block of normal_increments. Bounded, so the block buffer
+# stays small next to the result however many streams one call draws.
+_ROW_BLOCK = 256
 
 # numpy's SeedSequence hash mix (numpy/random/bit_generator.pyx). The pool
 # holds four uint32 words; the hash constant advances once per hashmix call,
@@ -195,8 +204,13 @@ def normal_increments(
     draws are a fixed function of (seed, label, i, j) alone, so growing the
     ensemble leaves earlier particles' noise untouched. Column (i, j) equals
     ``stream(master_seed, label, i, j).normal(0, scale, steps)`` byte for byte.
+    A negative scale (sign bit set, -0.0 included) raises InvalidParams.
     """
-    out = np.empty((steps, count, dims), dtype=np.float64)
+    scale = float(scale)
+    if math.copysign(1.0, scale) < 0.0 and not math.isnan(scale):
+        raise InvalidParams(f"noise scale must be >= 0, got {scale!r}")
+    total = count * dims
+    out = np.empty((steps, total), dtype=np.float64)
     words = _index_words(max(count, dims))
     rows = np.concatenate(
         [np.repeat(words[:count], dims, axis=0), np.tile(words[:dims], (count, 1))], axis=1
@@ -206,8 +220,16 @@ def normal_increments(
     gen = np.random.Generator(bitgen)
     # A fresh Philox state: counter 0, empty buffer. Only the key changes.
     state = bitgen.state
-    for r in range(count * dims):
-        state["state"]["key"] = keys[r]
-        bitgen.state = state
-        out[:, r // dims, r % dims] = gen.normal(0.0, scale, size=steps)
-    return out
+    block = np.empty((min(_ROW_BLOCK, total), steps), dtype=np.float64)
+    for r0 in range(0, total, _ROW_BLOCK):
+        part = block[: min(_ROW_BLOCK, total - r0)]
+        for i, row in enumerate(part):
+            state["state"]["key"] = keys[r0 + i]
+            bitgen.state = state
+            gen.standard_normal(out=row)
+        out[:, r0 : r0 + len(part)] = part.T
+    # Generator.normal(0, scale) returns 0.0 + scale * z: the same bytes,
+    # -0.0 included, as scaling once and then adding 0.0.
+    out *= scale
+    out += 0.0
+    return out.reshape(steps, count, dims)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from mvx_avgfilter.experiments import (
     SweepConfig,
     SweepReport,
     SweepRow,
+    _job_keys,
+    _run_jobs,
     _substeps_for,
     averaging_error_sweep,
     delta_schedule,
@@ -203,6 +206,22 @@ def test_averaging_sweep_reproducible_and_thread_independent():
         ]
         assert x.config_digest == y.config_digest
         assert x.fits == y.fits
+
+
+def test_run_jobs_in_key_order_on_calling_thread():
+    sweep = SweepConfig(
+        eps_grid=(0.1, 0.05), mc_reps=4, base_sde=base_sde(T=0.3, N=50), threads=3
+    )
+    seen = []
+
+    def job(key):
+        seen.append((key, threading.get_ident()))
+        return {1: float(len(seen))}
+
+    results = _run_jobs(sweep, job)
+    keys = _job_keys(sweep)
+    assert seen == [(k, threading.get_ident()) for k in keys]
+    assert list(results) == keys
 
 
 def test_standard_error_scales_with_reps():

@@ -382,6 +382,14 @@ def test_martingale_requires_min_runs():
         martingale_check(model, 999, cfg, dt=0.01)
 
 
+@pytest.mark.parametrize("chunk", [1, 0, -5])
+def test_martingale_refuses_chunk_below_two(chunk):
+    model = ref_model()
+    cfg = signal_cfg(N=2)
+    with pytest.raises(InvalidParams, match="chunk"):
+        martingale_check(model, 1000, cfg, dt=0.01, chunk=chunk)
+
+
 def test_martingale_deterministic():
     model = ref_model()
     cfg = SdeConfig(epsilon=0.1, T=0.2, dt_macro=0.01, micro_substeps=1, N=2, seed=31)

@@ -15,6 +15,7 @@ import pytest
 
 from mvx_avgfilter import filtering, sde, streams
 from mvx_avgfilter.averaging import make_drift_oracle
+from mvx_avgfilter.errors import InvalidParams
 from mvx_avgfilter.experiments import SweepConfig, filter_error_sweep
 from mvx_avgfilter.filtering import FILTER_SLOW_LABEL, FilterConfig
 from mvx_avgfilter.model import LinearModelParams, make_linear_model
@@ -37,12 +38,22 @@ def scalar_block(seed, label, steps, count, dims, scale):
 
 @pytest.mark.parametrize("seed", [0, 7, U64_MAX, -1, 1 << 40])
 @pytest.mark.parametrize("dims", [1, 3])
-@pytest.mark.parametrize("count,steps", [(1, 1), (1, 9), (6, 1), (6, 9)])
+@pytest.mark.parametrize(
+    "count,steps", [(1, 1), (1, 9), (6, 1), (6, 9), (streams._ROW_BLOCK + 3, 5)]
+)
 def test_normal_increments_byte_equal_to_scalar_streams(seed, dims, count, steps):
+    # the last count crosses the kernel's row-block edge at both widths
     got = normal_increments(seed, "signal-fast", steps, count, dims, 0.37)
     want = scalar_block(seed, "signal-fast", steps, count, dims, 0.37)
     assert got.shape == (steps, count, dims)
+    assert got.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scale", [-1.0, -0.0])
+def test_normal_increments_refuses_negative_scale(scale):
+    with pytest.raises(InvalidParams, match="scale"):
+        normal_increments(3, "frozen", 4, 2, 1, scale)
 
 
 def test_normal_increments_empty_block():
