@@ -9,7 +9,7 @@ integration; ``summarize_points``, which the integrators use, does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -66,17 +66,43 @@ class ParticleCloud:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
 class MeasureSummary:
     """Moment summary of a cloud; what coefficient functions consume.
 
-    second_moment is the full squared norm, sum_i w_i |x_i|^2.
+    second_moment is the full squared norm, sum_i w_i |x_i|^2. A summary made
+    by ``summarize_points`` without weights computes it on first read from the
+    points it was made from, so do not write to those points while the summary
+    is in use. Treat a summary as read-only.
     """
 
-    mean: np.ndarray
-    second_moment: float
-    n_points: int
-    source: Optional[ParticleCloud] = field(default=None, repr=False)
+    __slots__ = ("mean", "n_points", "source", "_second", "_points")
+
+    def __init__(
+        self,
+        mean: np.ndarray,
+        second_moment: float,
+        n_points: int,
+        source: Optional[ParticleCloud] = None,
+    ):
+        self.mean = mean
+        self.n_points = n_points
+        self.source = source
+        self._second = second_moment
+        self._points = None
+
+    @property
+    def second_moment(self) -> float:
+        points = self._points
+        if points is not None:
+            self._second = float(np.einsum("ij,ij->", points, points) / points.shape[0])
+            self._points = None
+        return self._second
+
+    def __repr__(self) -> str:
+        return (
+            f"MeasureSummary(mean={self.mean!r}, second_moment={self.second_moment!r}, "
+            f"n_points={self.n_points!r})"
+        )
 
     def integrate(self, phi: Callable[[np.ndarray], float]) -> float:
         if self.source is None:
@@ -92,17 +118,25 @@ def summarize(cloud: ParticleCloud) -> MeasureSummary:
 
 
 def summarize_points(points: np.ndarray, weights: Optional[np.ndarray] = None) -> MeasureSummary:
-    """Summary straight from an array, skipping cloud construction.
+    """Summary straight from an (N, d) array with N >= 1, skipping cloud
+    construction.
 
     Used in integrator inner loops; no integration handle is attached.
+    Without weights the second moment is computed on first read, from
+    ``points`` itself: do not write to ``points`` while the summary is in use.
     """
+    if getattr(points, "ndim", None) != 2 or points.shape[0] < 1:
+        raise InvalidParams(
+            f"points must be a non-empty N x d array, got shape {np.shape(points)}"
+        )
     if weights is None:
         # ndarray.mean's own arithmetic, without its Python wrapper
-        mean = np.add.reduce(points, axis=0) / points.shape[0]
-        second = float(np.einsum("ij,ij->", points, points) / points.shape[0])
-    else:
-        mean = weights @ points
-        second = float(weights @ np.einsum("ij,ij->i", points, points))
+        n = points.shape[0]
+        summary = MeasureSummary(np.add.reduce(points, axis=0) / n, None, n)
+        summary._points = points
+        return summary
+    mean = weights @ points
+    second = float(weights @ np.einsum("ij,ij->i", points, points))
     return MeasureSummary(mean=mean, second_moment=second, n_points=points.shape[0])
 
 

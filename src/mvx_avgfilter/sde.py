@@ -218,6 +218,9 @@ def _apply_sigma(sig, dw: np.ndarray, rows: int) -> np.ndarray:
 
     sig may be (rows, q) shared across particles or (N, rows, q) per
     particle; dw has shape (N, q) and rows is the width of the state.
+    A shared matrix with one column scales dw by that column and adds 0.0:
+    the bytes of ``dw @ sig.T``, which computes 0.0 + a*b over one column,
+    -0.0 included, without the cost of a matmul call.
     """
 
     sig = np.asarray(sig, dtype=float)
@@ -233,6 +236,8 @@ def _apply_sigma(sig, dw: np.ndarray, rows: int) -> np.ndarray:
             f"diffusion coefficient has {sig.shape[-2]} rows but the state width is {rows}"
         )
     if sig.ndim == 2:
+        if sig.shape[1] == 1:
+            return dw * sig[:, 0] + 0.0
         return dw @ sig.T
     return np.einsum("nij,nj->ni", sig, dw)
 
@@ -373,10 +378,18 @@ def simulate_frozen(
 
     fast = np.empty((n_steps + 1,) + z.shape)
     fast[0] = z
+    nu = summarize_points(z)
     for k in range(n_steps):
-        nu = summarize_points(z)
         z = _fast_step(model, x_frozen, mu, z, nu, dw[k], dt, 1.0)
-        _check_finite(z, "frozen fast state", k + 1, times[k + 1])
+        if k + 1 < n_steps:
+            # The next step's summary checks the new state: a finite mean means
+            # every point is finite. A non-finite mean may be a finite state
+            # whose sum overflowed, so only then are the points checked.
+            nu = summarize_points(z)
+            if not all(map(math.isfinite, nu.mean.tolist())):
+                _check_finite(z, "frozen fast state", k + 1, times[k + 1])
+        else:
+            _check_finite(z, "frozen fast state", k + 1, times[k + 1])
         fast[k + 1] = z
     tag = {
         "seed": cfg.seed,

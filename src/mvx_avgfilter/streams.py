@@ -12,11 +12,12 @@ perturbs an existing stream.
 ``normal_increments`` draws the same numbers for a whole block without
 building a SeedSequence or a Philox per stream: it derives every stream's
 Philox key in one vectorised pass of numpy's SeedSequence entropy mix
-(documented as stable) and re-keys a single generator per stream. Each
-stream is drawn into one contiguous row of a bounded block of rows, and
-the block's transpose is written into the result. The stream layout is
-unchanged; each (particle, component) stream is the one
-``stream(seed, label, particle, component)`` returns.
+(documented as stable), mixing each entropy word into all four pool words
+at once, and re-keys a single generator per stream through a state dict of
+plain Python ints. Each stream is drawn into one contiguous row of a
+bounded block of rows, and the block's transpose is written into the
+result. The stream layout is unchanged; each (particle, component) stream
+is the one ``stream(seed, label, particle, component)`` returns.
 """
 
 from __future__ import annotations
@@ -108,12 +109,13 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _mix_pool(columns: list) -> list:
+def _mix_pool(columns: list) -> np.ndarray:
     """SeedSequence's entropy pool for uint32 entropy given as columns.
 
     Column c holds word c of every row; a column of shape (1,) is shared by
     all rows, so a common entropy prefix is mixed once and broadcast when the
-    first per-row word arrives. Returns the four pool words.
+    first per-row word arrives. Returns the four pool words as the rows of a
+    (4, rows) array, or (4, 1) when every column is shared.
     """
     calls = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(len(columns) - _POOL_SIZE, 0)
     consts = _hash_constants(_INIT_A, _MULT_A, calls + 1)
@@ -127,14 +129,19 @@ def _mix_pool(columns: list) -> list:
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, k))
                 k += 1
+    # Each later word enters pool word dst through hash call k + dst, and each
+    # pool word depends only on its own history, so the four updates of one
+    # word run as one (4, rows) array.
+    pool = np.stack(pool)
+    xors, mults = consts[:-1, None], consts[1:, None]
     for word in columns[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, consts, k))
-            k += 1
+        value = (word ^ xors[k : k + _POOL_SIZE]) * mults[k : k + _POOL_SIZE]
+        pool = _mix(pool, value ^ (value >> _XSHIFT))
+        k += _POOL_SIZE
     return pool
 
 
-def _pool_keys(pool: list) -> np.ndarray:
+def _pool_keys(pool: np.ndarray) -> np.ndarray:
     """generate_state(2, uint64) of each row's pool, as (rows, 2) uint64."""
     consts = _hash_constants(_INIT_B, _MULT_B, _POOL_SIZE + 1)
     words = [_hashmix(pool[d], consts, d).astype(np.uint64) for d in range(_POOL_SIZE)]
@@ -219,12 +226,17 @@ def normal_increments(
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     # A fresh Philox state: counter 0, empty buffer. Only the key changes.
+    # The setter reads the state word by word, which is cheaper from Python
+    # ints than from uint64 arrays.
     state = bitgen.state
+    state["state"]["counter"] = state["state"]["counter"].tolist()
+    state["buffer"] = state["buffer"].tolist()
+    inner = state["state"]
     block = np.empty((min(_ROW_BLOCK, total), steps), dtype=np.float64)
     for r0 in range(0, total, _ROW_BLOCK):
         part = block[: min(_ROW_BLOCK, total - r0)]
-        for i, row in enumerate(part):
-            state["state"]["key"] = keys[r0 + i]
+        for key, row in zip(keys[r0 : r0 + len(part)].tolist(), part):
+            inner["key"] = key
             bitgen.state = state
             gen.standard_normal(out=row)
         out[:, r0 : r0 + len(part)] = part.T

@@ -18,6 +18,7 @@ from mvx_avgfilter.measure import (
     ParticleCloud,
     integrate,
     summarize,
+    summarize_points,
     systematic_resample,
 )
 
@@ -67,6 +68,31 @@ def test_cloud_validation():
         ParticleCloud(np.array([[np.nan], [1.0]]))
     with pytest.raises(InvalidParams):
         ParticleCloud(np.empty((0, 1)))
+
+
+# ===== summarize_points =====
+
+
+@pytest.mark.parametrize("shape", [(200, 1), (1000, 1), (2000, 1), (4097, 2)])
+def test_lazy_second_moment_is_the_eager_einsum(shape):
+    pts = np.random.default_rng(shape[0]).normal(size=shape)
+    eager = float(np.einsum("ij,ij->", pts, pts) / shape[0])
+    s = summarize_points(pts)
+    first = s.second_moment
+    assert type(first) is float
+    assert np.float64(first).tobytes() == np.float64(eager).tobytes()
+    assert np.float64(s.second_moment).tobytes() == np.float64(first).tobytes()
+    assert s.mean.tobytes() == (np.add.reduce(pts, axis=0) / shape[0]).tobytes()
+    assert s.n_points == shape[0]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("shape", [(5,), (2, 3, 1), (0, 2), (0, 1)])
+def test_summarize_points_refuses_non_2d_or_empty_points(shape, weighted):
+    pts = np.ones(shape)
+    weights = np.full(shape[0], 1.0 / max(shape[0], 1)) if weighted else None
+    with pytest.raises(InvalidParams, match="non-empty N x d"):
+        summarize_points(pts, weights)
 
 
 # ===== integrate =====
@@ -153,5 +179,11 @@ def test_resample_expected_multiplicity():
 
 
 def test_summary_fields():
-    s = MeasureSummary(mean=np.array([1.0]), second_moment=2.0, n_points=5)
+    mean = np.array([1.0])
+    s = MeasureSummary(mean=mean, second_moment=2.0, n_points=5)
     assert s.n_points == 5
+    assert s.mean is mean and s.second_moment == 2.0 and s.source is None
+    assert "second_moment=2.0" in repr(s)
+    c = cloud1d([1.0, 3.0])
+    t = MeasureSummary(mean, 2.0, 2, c)
+    assert t.source is c and t.second_moment == 2.0

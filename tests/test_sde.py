@@ -244,6 +244,87 @@ def test_frozen_deterministic_contraction():
     assert final.second_moment < 1e-3
 
 
+def _frozen_model(b2, sigma2, z0=1.0):
+    base = ref_model()
+    return ModelSpec(
+        n=1, m=1, l=1,
+        x0=np.zeros(1), z0=np.full(1, z0),
+        b1=base.b1, sigma1=base.sigma1,
+        b2=b2, sigma2=sigma2, h=base.h,
+    )
+
+
+@pytest.mark.parametrize("avg_window", [0.2, 0.04])  # overflow mid-run, and on the last step
+def test_frozen_overflow_raises_at_its_step(avg_window):
+    # z grows by 1e98 a step from z0 = 1, so it first overflows at step 4
+    model = _frozen_model(lambda x, mu, z, nu: 1e100 * z, lambda x, mu, z, nu: np.eye(1))
+    cfg = FrozenRunConfig(M=6, dt=0.01, burn_in=0.0, avg_window=avg_window, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Instability) as err:
+        simulate_frozen(model, np.zeros(1), _zero_summary(1), cfg)
+    assert (err.value.step, err.value.time) == (4, 4 * 0.01)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("avg_window", [0.1, 0.03])  # a mid-run step, and the last step
+def test_frozen_non_finite_particle_raises_at_its_step(bad, avg_window):
+    calls = []
+
+    def b2(x, mu, z, nu):
+        calls.append(None)
+        out = np.zeros_like(z)
+        if len(calls) == 3:
+            out[1] = bad  # one particle of the third step only
+        return out
+
+    model = _frozen_model(b2, lambda x, mu, z, nu: np.eye(1))
+    cfg = FrozenRunConfig(M=5, dt=0.01, burn_in=0.0, avg_window=avg_window, seed=0)
+    with np.errstate(invalid="ignore"), pytest.raises(Instability) as err:
+        simulate_frozen(model, np.zeros(1), _zero_summary(1), cfg)
+    assert (err.value.step, err.value.time) == (3, 3 * 0.01)
+
+
+def test_frozen_finite_state_whose_sum_overflows_runs():
+    zero_drift = lambda x, mu, z, nu: np.zeros_like(z)  # noqa: E731
+    model = _frozen_model(zero_drift, lambda x, mu, z, nu: np.zeros((1, 1)), z0=1e308)
+    cfg = FrozenRunConfig(M=4, dt=0.01, burn_in=0.0, avg_window=0.1, seed=0)
+    with np.errstate(over="ignore"):
+        path = simulate_frozen(model, np.zeros(1), _zero_summary(1), cfg)
+    assert np.all(path.fast == 1e308)
+
+
+def test_frozen_run_summarizes_each_state_once(monkeypatch):
+    model = ref_model()
+    cfg = FrozenRunConfig(M=7, dt=0.05, burn_in=0.1, avg_window=0.3, seed=4)
+    mu = _zero_summary(1)
+    want = simulate_frozen(model, np.ones(1), mu, cfg).fast
+    seen = []
+
+    def counting(points, weights=None):
+        seen.append(points)
+        return summarize_points(points, weights)
+
+    monkeypatch.setattr(sde, "summarize_points", counting)
+    path = simulate_frozen(model, np.ones(1), mu, cfg)
+    assert np.array_equal(path.fast, want)
+    assert len(seen) == cfg.n_steps  # the states before each step, not the last one
+    assert all(np.array_equal(p, z) for p, z in zip(seen, path.fast[:-1]))
+
+
+@pytest.mark.parametrize("N", [1, 7, 200, 2000, 4097])
+def test_one_column_diffusion_is_the_bytes_of_matmul(N):
+    dw = np.random.default_rng(N).normal(size=(N, 1))
+    dw[::3] = 0.0
+    dw[1::3] = -0.0
+    columns = [np.full((rows, 1), v) for rows in (1, 3) for v in (0.5, -0.5, 0.0, -0.0, np.inf)]
+    columns.append(np.array([[0.25], [-0.0], [-3.0]]))
+    for sig in columns:
+        with np.errstate(invalid="ignore"):
+            got = sde._apply_sigma(sig, dw, sig.shape[0])
+            want = dw @ sig.T
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def _zero_summary(d):
     from mvx_avgfilter.measure import MeasureSummary
 
