@@ -23,7 +23,7 @@ from . import __version__
 from .averaging import analytic_bbar_linear, estimate_bbar, make_drift_oracle
 from .config import RunConfig, config_digest, parse_config
 from .errors import MvxError, ValidationError
-from .experiments import SweepConfig, averaging_error_sweep, filter_error_sweep
+from .experiments import SweepConfig, averaging_error_sweep, filter_error_sweep, usable_cpus
 from .filtering import generate_observations, run_filter
 from .measure import dirac_summary
 from .model import probe_assumptions
@@ -242,7 +242,7 @@ def run_command(cfg: RunConfig, threads: int = 1) -> RunManifest:
 def _resolve_threads(flag: Optional[str]) -> int:
     raw = flag if flag is not None else os.environ.get("MVX_THREADS", "1")
     if raw == "auto":
-        return os.cpu_count() or 1
+        return usable_cpus()
     try:
         threads = int(raw)
     except ValueError as err:
@@ -263,8 +263,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json", "both"), default=None)
     parser.add_argument(
         "--threads", default=None,
-        help="accepted and checked (integer >= 1 or 'auto'; env MVX_THREADS) but has no "
-        "effect: sweeps run their jobs in order on one thread",
+        help="integer >= 1 or 'auto' (the CPUs this process may use); env MVX_THREADS. "
+        "Above 1, where a second CPU is usable, sweeps fork one helper process that draws "
+        "the next job's noise while a job runs; jobs still run in order and the results "
+        "are identical",
     )
     return parser
 

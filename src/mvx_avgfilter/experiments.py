@@ -7,8 +7,11 @@ observation record to both filter variants and measures how far their
 conditional estimates drift apart.  Every (epsilon, rep) cell is an
 independent job with its own derived seed, so reports are bit-identical
 across reruns.  The jobs run one after another on the calling thread, in
-`_job_keys` order: threads do not overlap them, because the jobs' numpy
-calls and noise re-keying hold the GIL.
+`_job_keys` order: threads would not overlap them, because the jobs' numpy
+calls and noise re-keying hold the GIL.  With `threads` > 1 and a second
+usable CPU, one helper process draws the next job's noise blocks while a
+job runs (see :mod:`.ahead`); the blocks are the ones the job would draw,
+so the report is the same to the byte.
 
 The grid sup understates the continuous-time sup by O(dt^{1/2}); that bias
 is recorded in the report config, not corrected.
@@ -20,6 +23,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -36,7 +40,10 @@ from .errors import (
 )
 from .filtering import (
     FilterConfig,
+    _filter_fast_noise,
     _filter_slow_increments,
+    _filter_slow_noise,
+    _observation_noise,
     filter_discrepancy,
     generate_observations,
     run_filter,
@@ -45,6 +52,8 @@ from .model import ModelSpec
 from .sde import (
     PathEnsemble,
     SdeConfig,
+    _fast_noise,
+    _slow_noise,
     contraction_rate,
     coupled_pair,
     simulate_slow_fast,
@@ -90,8 +99,10 @@ class SweepConfig:
     base_sde supplies T, dt_macro, particle count and the master seed; its
     epsilon and micro_substeps fields are overridden per grid point.  Each
     (epsilon, rep) job reseeds from (seed, kind, epsilon, rep), so results
-    do not depend on execution order.  `threads` is validated (>= 1) but
-    has no effect: the jobs run in order on the calling thread.
+    do not depend on execution order.  `threads` (>= 1) never changes a
+    number: the jobs run in order on the calling thread, and above 1, where
+    a second CPU is usable, one helper process draws the next job's noise
+    while a job runs.
     """
 
     eps_grid: Tuple[float, ...]
@@ -156,6 +167,25 @@ def _substeps_for(sweep: SweepConfig, model: ModelSpec) -> List[int]:
     ]
 
 
+def _job_configs(sweep: SweepConfig, model: ModelSpec, tag: str) -> Callable:
+    """Map from a job key to its SdeConfig: the grid point's epsilon and
+    substeps, and a seed derived from (seed, tag, epsilon, rep)."""
+    substeps = _substeps_for(sweep, model)
+    seed0 = sweep.base_sde.seed
+
+    def job_cfg(key) -> SdeConfig:
+        ie, rep = key
+        eps = sweep.eps_grid[ie]
+        return dataclasses.replace(
+            sweep.base_sde,
+            epsilon=eps,
+            micro_substeps=substeps[ie],
+            seed=derive_seed(seed0, "sweep", tag, float(eps).hex(), rep),
+        )
+
+    return job_cfg
+
+
 def _safe_delta(eps: float) -> float:
     return delta_schedule(eps) if eps < 1.0 else float("nan")
 
@@ -171,6 +201,52 @@ def _job_keys(sweep: SweepConfig) -> List[Tuple[int, int]]:
 def _run_jobs(sweep: SweepConfig, job: Callable) -> Dict[Tuple[int, int], Dict[int, float]]:
     """Run every job on the calling thread, in `_job_keys` order."""
     return {k: job(k) for k in _job_keys(sweep)}
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has
+    one (it honours taskset and cpusets), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
+
+
+def _run_jobs_ahead(
+    sweep: SweepConfig, job: Callable, plan: Callable
+) -> Dict[Tuple[int, int], Dict[int, float]]:
+    """`_run_jobs`, with each next job's noise drawn ahead when threads > 1.
+
+    ``plan(key)`` lists the normal_increments arguments of job ``key``'s
+    draws, in the order the job makes them. With ``sweep.threads > 1``, a
+    second CPU this process may use and the ``fork`` start method, one
+    helper process (:mod:`.ahead`) draws the first job's blocks and then,
+    while each job runs, the next job's. The jobs still run through
+    `_run_jobs`, in order on the calling thread, and every block is the one
+    they would draw themselves. The helper is stopped before this returns or
+    raises.
+
+    ``threads`` is the number of CPUs the caller gives the sweep; the CPU
+    count alone cannot tell, since other work may hold the other CPUs (two
+    one-thread sweeps side by side on two CPUs, say).
+    """
+    if min(sweep.threads, usable_cpus()) == 1:
+        return _run_jobs(sweep, job)
+    from . import ahead  # imported here, so a one-thread run never loads it
+
+    helper = ahead.start()
+    if helper is None:
+        return _run_jobs(sweep, job)
+    keys = _job_keys(sweep)
+    following = dict(zip(keys, keys[1:]))
+
+    def run(key):
+        after = following.get(key)
+        helper.next_job(plan(after) if after is not None else ())
+        return job(key)
+
+    with helper:
+        helper.queue(plan(keys[0]))
+        return _run_jobs(sweep, run)
 
 
 def _fit_loglog(eps_values, means) -> Tuple[float, float, float]:
@@ -253,20 +329,17 @@ def averaging_error_sweep(model: ModelSpec, drift, sweep: SweepConfig) -> SweepR
     the ensemble.  SEs come from the spread across reps.
     """
     t0 = time.perf_counter()
-    substeps = _substeps_for(sweep, model)
-    seed0 = sweep.base_sde.seed
+    job_cfg = _job_configs(sweep, model, "avg")
+
+    def plan(key):
+        cfg = job_cfg(key)
+        return [_slow_noise(model, cfg), _fast_noise(model, cfg)]
 
     def job(key):
         ie, rep = key
         eps = sweep.eps_grid[ie]
-        cfg = dataclasses.replace(
-            sweep.base_sde,
-            epsilon=eps,
-            micro_substeps=substeps[ie],
-            seed=derive_seed(seed0, "sweep", "avg", float(eps).hex(), rep),
-        )
         try:
-            slow_fast, averaged = coupled_pair(model, drift, cfg)
+            slow_fast, averaged = coupled_pair(model, drift, job_cfg(key))
         except Instability as err:
             raise Instability(
                 f"eps={eps:g} rep={rep}: {err}", step=err.step, time=err.time
@@ -274,7 +347,7 @@ def averaging_error_sweep(model: ModelSpec, drift, sweep: SweepConfig) -> SweepR
         worst = sup_path_error(slow_fast, averaged)
         return {p: float(np.mean(worst ** (2 * p))) for p in sweep.p_orders}
 
-    results = _run_jobs(sweep, job)
+    results = _run_jobs_ahead(sweep, job, plan)
     digest = _config_digest("averaging", sweep)
     return _assemble_report("averaging", sweep, results, digest, t0)
 
@@ -301,18 +374,26 @@ def filter_error_sweep(
         raise InvalidParams("averaged filter arm needs a drift oracle")
     t0 = time.perf_counter()
     fcfg = dataclasses.replace(sweep.filter_cfg, functional=functional)
-    substeps = _substeps_for(sweep, model)
+    job_cfg = _job_configs(sweep, model, "filt")
     seed0 = sweep.base_sde.seed
+
+    def obs_seed(key):
+        ie, rep = key
+        return derive_seed(seed0, "sweep", "obs", float(sweep.eps_grid[ie]).hex(), rep)
+
+    def plan(key):
+        cfg = job_cfg(key)
+        return [
+            _slow_noise(model, cfg),
+            _fast_noise(model, cfg),
+            _observation_noise(obs_seed(key), cfg.n_steps, model.l, cfg.dt_macro),
+            _filter_slow_noise(model, fcfg, cfg),
+        ] + [_filter_fast_noise(model, fcfg, cfg)] * arms.count("multiscale")
 
     def job(key):
         ie, rep = key
         eps = sweep.eps_grid[ie]
-        cfg = dataclasses.replace(
-            sweep.base_sde,
-            epsilon=eps,
-            micro_substeps=substeps[ie],
-            seed=derive_seed(seed0, "sweep", "filt", float(eps).hex(), rep),
-        )
+        cfg = job_cfg(key)
         try:
             signal = simulate_slow_fast(model, cfg)
             obs = generate_observations(
@@ -320,7 +401,7 @@ def filter_error_sweep(
                 signal,
                 reference_particle=0,
                 dt=cfg.dt_macro,
-                seed_v=derive_seed(seed0, "sweep", "obs", float(eps).hex(), rep),
+                seed_v=obs_seed(key),
             )
             dw_slow = _filter_slow_increments(model, fcfg, cfg)
             runs = [
@@ -346,7 +427,7 @@ def filter_error_sweep(
             for p in sweep.p_orders
         }
 
-    results = _run_jobs(sweep, job)
+    results = _run_jobs_ahead(sweep, job, plan)
     digest = _config_digest("filter", sweep, functional=functional, arms=arms)
     return _assemble_report("filter", sweep, results, digest, t0)
 

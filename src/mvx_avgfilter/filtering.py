@@ -165,6 +165,11 @@ def _uniform_summary(points: np.ndarray) -> MeasureSummary:
     return summarize_points(points, np.full(points.shape[0], 1.0 / points.shape[0]))
 
 
+def _observation_noise(seed_v: int, n_obs: int, l_obs: int, dt: float) -> tuple:
+    """normal_increments arguments of an observation record's noise dV."""
+    return (seed_v, OBSERVATION_LABEL, n_obs, 1, l_obs, math.sqrt(dt))
+
+
 def generate_observations(
     model: ModelSpec,
     signal: PathEnsemble,
@@ -206,7 +211,7 @@ def generate_observations(
 
     h0 = np.asarray(model.h(signal.slow[0, reference_particle], slow_trace[0]))
     l_obs = h0.shape[-1]
-    dv = normal_increments(seed_v, OBSERVATION_LABEL, n_obs, 1, l_obs, math.sqrt(dt))[:, 0, :]
+    dv = normal_increments(*_observation_noise(seed_v, n_obs, l_obs, dt))[:, 0, :]
     increments = np.empty((n_obs, l_obs))
     for k in range(n_obs):
         x_ref = signal.slow[k * stride, reference_particle]
@@ -251,10 +256,24 @@ def _record_pi(logw: np.ndarray, f_vals: np.ndarray) -> tuple:
     return pi, ess
 
 
-def _filter_slow_increments(model: ModelSpec, cfg: FilterConfig, sde_cfg: SdeConfig):
-    return normal_increments(
+def _filter_slow_noise(model: ModelSpec, cfg: FilterConfig, sde_cfg: SdeConfig) -> tuple:
+    """normal_increments arguments of the filter particles' slow block."""
+    return (
         sde_cfg.seed, FILTER_SLOW_LABEL, sde_cfg.n_steps, cfg.Nf, model.n,
         math.sqrt(sde_cfg.dt_macro),
+    )
+
+
+def _filter_slow_increments(model: ModelSpec, cfg: FilterConfig, sde_cfg: SdeConfig):
+    return normal_increments(*_filter_slow_noise(model, cfg, sde_cfg))
+
+
+def _filter_fast_noise(model: ModelSpec, cfg: FilterConfig, sde_cfg: SdeConfig) -> tuple:
+    """normal_increments arguments of the multiscale filter's fast block."""
+    ksub = sde_cfg.micro_substeps
+    return (
+        sde_cfg.seed, FILTER_FAST_LABEL, sde_cfg.n_steps * ksub, cfg.Nf, model.m,
+        math.sqrt(sde_cfg.dt_macro / ksub),
     )
 
 
@@ -312,9 +331,7 @@ def run_filter(
         ksub = sde_cfg.micro_substeps
         dts = dt / ksub
         h = dts / sde_cfg.epsilon
-        dw_fast = normal_increments(
-            sde_cfg.seed, FILTER_FAST_LABEL, n_steps * ksub, nf, model.m, math.sqrt(dts)
-        )
+        dw_fast = normal_increments(*_filter_fast_noise(model, cfg, sde_cfg))
         inv_sqrt_eps = 1.0 / math.sqrt(sde_cfg.epsilon)
     resample_rng = stream(sde_cfg.seed, "filter-resample")
 

@@ -291,10 +291,23 @@ def _noise_tag(cfg: SdeConfig, labels: Sequence[str]) -> dict:
     }
 
 
-def _slow_increments(model: ModelSpec, cfg: SdeConfig) -> np.ndarray:
-    return normal_increments(
-        cfg.seed, SLOW_LABEL, cfg.n_steps, cfg.N, model.n, math.sqrt(cfg.dt_macro)
+def _slow_noise(model: ModelSpec, cfg: SdeConfig) -> tuple:
+    """normal_increments arguments of a signal run's slow block."""
+    return (cfg.seed, SLOW_LABEL, cfg.n_steps, cfg.N, model.n, math.sqrt(cfg.dt_macro))
+
+
+def _fast_noise(model: ModelSpec, cfg: SdeConfig) -> tuple:
+    """normal_increments arguments of a signal run's fast block, one row per
+    micro-substep."""
+    ksub = cfg.micro_substeps
+    return (
+        cfg.seed, FAST_LABEL, cfg.n_steps * ksub, cfg.N, model.m,
+        math.sqrt(cfg.dt_macro / ksub),
     )
+
+
+def _finite_mean(summary: MeasureSummary) -> bool:
+    return all(map(math.isfinite, summary.mean.tolist()))
 
 
 def simulate_slow_fast(
@@ -319,25 +332,29 @@ def simulate_slow_fast(
 
     x = _tile_state(model.x0, cfg.N)
     z = _tile_state(model.z0, cfg.N)
-    dw_slow = _slow_increments(model, cfg) if _dw_slow is None else _dw_slow
-    dw_fast = normal_increments(
-        cfg.seed, FAST_LABEL, n_steps * ksub, cfg.N, model.m, math.sqrt(dts)
-    )
+    dw_slow = normal_increments(*_slow_noise(model, cfg)) if _dw_slow is None else _dw_slow
+    dw_fast = normal_increments(*_fast_noise(model, cfg))
     inv_sqrt_eps = 1.0 / math.sqrt(cfg.epsilon)
 
     slow = np.empty((n_steps + 1,) + x.shape)
     fast = np.empty((n_steps + 1,) + z.shape)
     slow[0], fast[0] = x, z
     for k in range(n_steps):
+        # The step's summaries check the state it starts from, as in
+        # simulate_frozen; the last state has no next step and is checked plainly.
         mu = summarize_points(x)
+        if not _finite_mean(mu):
+            _check_finite(x, "slow state", k, times[k])
         nu = summarize_points(z)
+        if not _finite_mean(nu):
+            _check_finite(z, "fast state", k, times[k])
         x_next = _slow_step(model, x, mu, model.b1(x, mu, z), dw_slow[k], dt)
         for dw in dw_fast[k * ksub : (k + 1) * ksub]:
             z = _fast_step(model, x, mu, z, nu, dw, h, inv_sqrt_eps)
         x = x_next
-        _check_finite(x, "slow state", k + 1, times[k + 1])
-        _check_finite(z, "fast state", k + 1, times[k + 1])
         slow[k + 1], fast[k + 1] = x, z
+    _check_finite(x, "slow state", n_steps, times[n_steps])
+    _check_finite(z, "fast state", n_steps, times[n_steps])
     return PathEnsemble(
         times=times,
         slow=slow,
@@ -386,7 +403,7 @@ def simulate_frozen(
             # every point is finite. A non-finite mean may be a finite state
             # whose sum overflowed, so only then are the points checked.
             nu = summarize_points(z)
-            if not all(map(math.isfinite, nu.mean.tolist())):
+            if not _finite_mean(nu):
                 _check_finite(z, "frozen fast state", k + 1, times[k + 1])
         else:
             _check_finite(z, "frozen fast state", k + 1, times[k + 1])
@@ -419,15 +436,17 @@ def simulate_averaged(
     dt = cfg.dt_macro
     times = np.arange(n_steps + 1) * dt
     x = _tile_state(model.x0, cfg.N)
-    dw_slow = _slow_increments(model, cfg) if _dw_slow is None else _dw_slow
+    dw_slow = normal_increments(*_slow_noise(model, cfg)) if _dw_slow is None else _dw_slow
 
     slow = np.empty((n_steps + 1,) + x.shape)
     slow[0] = x
     for k in range(n_steps):
         mu = summarize_points(x)
+        if not _finite_mean(mu):
+            _check_finite(x, "averaged slow state", k, times[k])
         x = _slow_step(model, x, mu, drift(x, mu), dw_slow[k], dt)
-        _check_finite(x, "averaged slow state", k + 1, times[k + 1])
         slow[k + 1] = x
+    _check_finite(x, "averaged slow state", n_steps, times[n_steps])
     return PathEnsemble(times=times, slow=slow, noise_tag=_noise_tag(cfg, (SLOW_LABEL,)))
 
 
@@ -441,7 +460,7 @@ def coupled_pair(
     The slow block is drawn once and handed to both runs.
     """
 
-    dw_slow = _slow_increments(model, cfg)
+    dw_slow = normal_increments(*_slow_noise(model, cfg))
     return (
         simulate_slow_fast(model, cfg, _dw_slow=dw_slow),
         simulate_averaged(model, drift, cfg, _dw_slow=dw_slow),
@@ -482,24 +501,27 @@ def simulate_auxiliary(model: ModelSpec, slow_path: PathEnsemble, cfg: SdeConfig
     h = dts / cfg.epsilon
     times = slow_path.times
     seg = max(1, int(round(cfg.delta_eps / dt)))
-    dw_fast = normal_increments(
-        cfg.seed, FAST_LABEL, n_steps * ksub, cfg.N, model.m, math.sqrt(dts)
-    )
+    dw_fast = normal_increments(*_fast_noise(model, cfg))
     inv_sqrt_eps = 1.0 / math.sqrt(cfg.epsilon)
 
+    what = "auxiliary fast state"
     aux = np.empty((n_steps + 1,) + slow_path.fast.shape[1:])
     aux[0] = slow_path.fast[0]
     for k in range(n_steps):
         if k % seg == 0:
+            if k:
+                # a restart replaces the computed state unsummarized
+                _check_finite(zh, what, k, times[k])
             zh = slow_path.fast[k]
             x_frozen = slow_path.slow[k]
             mu_frozen = summarize_points(x_frozen)
-            _check_finite(zh, "auxiliary fast state", k, times[k])
         nu = summarize_points(zh)
+        if not _finite_mean(nu):
+            _check_finite(zh, what, k, times[k])
         for dw in dw_fast[k * ksub : (k + 1) * ksub]:
             zh = _fast_step(model, x_frozen, mu_frozen, zh, nu, dw, h, inv_sqrt_eps)
-        _check_finite(zh, "auxiliary fast state", k + 1, times[k + 1])
         aux[k + 1] = zh
+    _check_finite(zh, what, n_steps, times[n_steps])
     return PathEnsemble(
         times=times,
         slow=slow_path.slow,

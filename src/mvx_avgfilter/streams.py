@@ -18,12 +18,18 @@ plain Python ints. Each stream is drawn into one contiguous row of a
 bounded block of rows, and the block's transpose is written into the
 result. The stream layout is unchanged; each (particle, component) stream
 is the one ``stream(seed, label, particle, component)`` returns.
+
+A block is a pure function of its arguments, so it may come from elsewhere:
+during a sweep with more than one thread, a helper process draws the next
+job's blocks ahead (``ahead``) and ``normal_increments`` receives them; every
+other call draws here.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from typing import Callable, Optional
 
 import numpy as np
 # numpy 2 loads numpy.random lazily; load it here, not inside the first noise draw
@@ -197,6 +203,13 @@ def _index_words(n: int) -> np.ndarray:
     return table[:n]
 
 
+# While a sweep's helper process draws blocks ahead (see ``ahead``), this is
+# called with a draw's arguments and returns that block, or None to draw it
+# here. A block is a pure function of its arguments, so either way the bytes
+# are the same.
+_drawn_ahead: Optional[Callable[[tuple], Optional[np.ndarray]]] = None
+
+
 def normal_increments(
     master_seed: int,
     label: str,
@@ -216,6 +229,19 @@ def normal_increments(
     scale = float(scale)
     if math.copysign(1.0, scale) < 0.0 and not math.isnan(scale):
         raise InvalidParams(f"noise scale must be >= 0, got {scale!r}")
+    source = _drawn_ahead
+    if source is not None:
+        block = source((master_seed, label, steps, count, dims, scale))
+        if block is not None:
+            return block
+    return _draw_block(master_seed, label, steps, count, dims, scale)
+
+
+def _draw_block(
+    master_seed: int, label: str, steps: int, count: int, dims: int, scale: float
+) -> np.ndarray:
+    """The block :func:`normal_increments` returns, drawn in this process;
+    ``scale`` must already be a float >= 0."""
     total = count * dims
     out = np.empty((steps, total), dtype=np.float64)
     words = _index_words(max(count, dims))

@@ -16,7 +16,7 @@ import sys
 import pytest
 
 import mvx_avgfilter
-from mvx_avgfilter.cli import main, run_command
+from mvx_avgfilter.cli import _resolve_threads, main, run_command
 from mvx_avgfilter.config import (
     COMMANDS,
     RunConfig,
@@ -368,23 +368,62 @@ def test_main_missing_config_file(tmp_path, capsys):
     assert "message" in err
 
 
+SWEEP_CONFIGS = {
+    "sweep-averaging": {"sweep": {"eps_grid": [0.1, 0.05], "mc_reps": 4, "p_orders": [1]}},
+    "sweep-filter": {
+        "filter": {"Nf": 40, "resample_threshold": 0.5, "functional": "tanh", "p": 1},
+        "sweep": {"eps_grid": [0.1, 0.05], "mc_reps": 4, "p_orders": [1],
+                  "functional": "tanh"},
+    },
+}
+
+
 def test_threads_do_not_change_sweep_output(tmp_path, monkeypatch):
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(
-        cfg_text(
-            command="sweep-averaging",
-            sde={"N": 25, "T": 0.2},
-            sweep={"eps_grid": [0.1, 0.05], "mc_reps": 4, "p_orders": [1]},
-        ),
-        encoding="utf-8",
+    for command, sections in SWEEP_CONFIGS.items():
+        work = tmp_path / command
+        work.mkdir()
+        cfg_path = work / "run.json"
+        cfg_path.write_text(
+            cfg_text(command=command, format="both", sde={"N": 25, "T": 0.2}, **sections),
+            encoding="utf-8",
+        )
+        monkeypatch.delenv("MVX_THREADS", raising=False)
+        for sub, threads in (("a", "1"), ("b", "3")):
+            args = ["--config", str(cfg_path), "--out", str(work / sub), "--threads", threads]
+            assert main(args) == 0
+        monkeypatch.setenv("MVX_THREADS", "2")
+        assert main(["--config", str(cfg_path), "--out", str(work / "c")]) == 0
+        for name in (command + ".csv", command + ".json"):
+            a = read(work / "a" / name)
+            assert a == read(work / "b" / name)
+            assert a == read(work / "c" / name)
+
+
+def test_threads_auto_counts_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert _resolve_threads("auto") == 3
+    monkeypatch.setenv("MVX_THREADS", "auto")
+    assert _resolve_threads(None) == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _resolve_threads("auto") == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _resolve_threads("auto") == 1
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    code = (
+        "import sys, mvx_avgfilter.cli; "
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing loaded'; "
+        "assert 'socket' not in sys.modules, 'socket loaded'; "
+        "assert 'mvx_avgfilter.ahead' not in sys.modules, 'ahead loaded'"
     )
-    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "a"), "--threads", "1"]) == 0
-    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "b"), "--threads", "3"]) == 0
-    monkeypatch.setenv("MVX_THREADS", "2")
-    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "c")]) == 0
-    a = read(tmp_path / "a" / "sweep-averaging.csv")
-    assert a == read(tmp_path / "b" / "sweep-averaging.csv")
-    assert a == read(tmp_path / "c" / "sweep-averaging.csv")
+    src = os.path.dirname(os.path.dirname(mvx_avgfilter.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # ===== no scipy at run time =====

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import multiprocessing
+import os
 import threading
 
 import numpy as np
 import pytest
 
+from mvx_avgfilter import ahead, experiments, streams
 from mvx_avgfilter.averaging import make_drift_oracle
 from mvx_avgfilter.errors import DegenerateFit, Instability, InvalidEpsilon, InvalidParams
 from mvx_avgfilter.experiments import (
@@ -191,21 +194,26 @@ def test_averaging_sweep_instability_names_the_rep():
 def test_averaging_sweep_reproducible_and_thread_independent():
     model = ref_model()
     oracle = make_drift_oracle(model, mode="analytic-linear")
+    sweeps = (
+        lambda threads: averaging_error_sweep(
+            model, oracle,
+            SweepConfig(eps_grid=(0.1, 0.05), mc_reps=4, base_sde=base_sde(T=0.3, N=50),
+                        threads=threads),
+        ),
+        lambda threads: filter_error_sweep(
+            model, oracle, "tanh", dataclasses.replace(filter_sweep_cfg(), threads=threads)
+        ),
+    )
+    for run in sweeps:
+        a, b, c = run(1), run(1), run(3)
+        for x, y in ((a, b), (a, c)):
+            assert rows_of(x) == rows_of(y)
+            assert x.config_digest == y.config_digest
+            assert x.fits == y.fits
 
-    def run(threads):
-        sweep = SweepConfig(
-            eps_grid=(0.1, 0.05), mc_reps=4, base_sde=base_sde(T=0.3, N=50),
-            threads=threads,
-        )
-        return averaging_error_sweep(model, oracle, sweep)
 
-    a, b, c = run(1), run(1), run(3)
-    for x, y in ((a, b), (a, c)):
-        assert [dataclasses.astuple(r) for r in x.rows] == [
-            dataclasses.astuple(r) for r in y.rows
-        ]
-        assert x.config_digest == y.config_digest
-        assert x.fits == y.fits
+def rows_of(report):
+    return [dataclasses.astuple(r) for r in report.rows]
 
 
 def test_run_jobs_in_key_order_on_calling_thread():
@@ -294,6 +302,151 @@ def test_filter_sweep_reproducible():
     assert [dataclasses.astuple(r) for r in a.rows] == [
         dataclasses.astuple(r) for r in b.rows
     ]
+
+
+# ===== threads > 1: a helper process draws the next job's noise =====
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Every helper the sweeps start, with its pid, and the blocks it sent.
+
+    The sweeps see two usable CPUs, so a helper starts on any host."""
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+    record = {"helpers": [], "pids": [], "received": 0, "inline": 0}
+    start, call = ahead.start, ahead.DrawAhead.__call__
+
+    def recording_start():
+        helper = start()
+        if helper is not None:
+            record["helpers"].append(helper)
+            record["pids"].append(helper._process.pid)
+        return helper
+
+    def counting_call(self, args):
+        block = call(self, args)
+        record["received" if block is not None else "inline"] += 1
+        return block
+
+    monkeypatch.setattr(ahead, "start", recording_start)
+    monkeypatch.setattr(ahead.DrawAhead, "__call__", counting_call)
+    return record
+
+
+def assert_no_child_left(record):
+    assert multiprocessing.active_children() == []
+    assert streams._drawn_ahead is None
+    for pid in record["pids"]:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+@pytest.mark.parametrize("kind", ["averaging", "filter"])
+def test_threads_two_draws_ahead_in_one_helper(helpers, kind):
+    model = ref_model()
+    oracle = make_drift_oracle(model, mode="analytic-linear")
+    sweep = filter_sweep_cfg()
+    if kind == "averaging":
+        run = lambda s: averaging_error_sweep(model, oracle, s)  # noqa: E731
+        per_job = 2  # signal slow and fast
+    else:
+        run = lambda s: filter_error_sweep(model, oracle, "tanh", s)  # noqa: E731
+        per_job = 5  # signal slow and fast, observation, filter slow, one filter fast
+    want = run(sweep)
+    got = run(dataclasses.replace(sweep, threads=2))
+    assert rows_of(got) == rows_of(want)
+    assert len(helpers["helpers"]) == 1
+    # every draw of every job was planned and came from the helper: a plan
+    # that drifts from the draw sites shows here as an inline draw
+    assert helpers["received"] == per_job * len(_job_keys(sweep))
+    assert helpers["inline"] == 0
+    assert_no_child_left(helpers)
+
+
+def test_threads_one_starts_no_helper(helpers):
+    model = ref_model()
+    oracle = make_drift_oracle(model, mode="analytic-linear")
+    filter_error_sweep(model, oracle, "tanh", filter_sweep_cfg(eps_grid=(0.1,)))
+    assert helpers["helpers"] == [] and helpers["received"] + helpers["inline"] == 0
+
+
+def test_helper_stops_when_a_job_raises(helpers):
+    base = ref_model()
+    model = ModelSpec(
+        n=1, m=1, l=1, x0=np.zeros(1), z0=np.ones(1),
+        b1=base.b1, sigma1=base.sigma1,
+        b2=lambda x, mu, z, nu: 1e40 * z,
+        sigma2=base.sigma2, h=base.h,
+    )
+    oracle = make_drift_oracle(base, mode="analytic-linear")
+    sweep = SweepConfig(
+        eps_grid=(0.1,), mc_reps=4, base_sde=base_sde(T=0.2, N=10), p_orders=(1,), threads=2
+    )
+    with np.errstate(over="ignore"), pytest.raises(Instability) as err:
+        averaging_error_sweep(model, oracle, sweep)
+    assert "eps=0.1 rep=0" in str(err.value)
+    assert len(helpers["helpers"]) == 1
+    assert_no_child_left(helpers)
+
+
+def test_killed_helper_leaves_the_output_unchanged(helpers, monkeypatch):
+    model = ref_model()
+    oracle = make_drift_oracle(model, mode="analytic-linear")
+    sweep = filter_sweep_cfg()
+    want = filter_error_sweep(model, oracle, "tanh", sweep)
+    next_job = ahead.DrawAhead.next_job
+    jobs = []
+
+    def killing_next_job(self, draws=()):
+        jobs.append(None)
+        if len(jobs) == 3:  # mid-run, with blocks planned and held
+            self._process.kill()
+            self._process.join(10.0)
+            assert not self._process.is_alive()
+        next_job(self, draws)
+
+    monkeypatch.setattr(ahead.DrawAhead, "next_job", killing_next_job)
+    got = filter_error_sweep(model, oracle, "tanh", dataclasses.replace(sweep, threads=2))
+    assert rows_of(got) == rows_of(want)
+    assert len(jobs) == len(_job_keys(sweep))
+    assert_no_child_left(helpers)
+
+
+@pytest.mark.parametrize("missing", ["fork", "second CPU"])
+def test_threads_two_without_fork_runs_inline(helpers, monkeypatch, missing):
+    if missing == "fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    else:
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
+    model = ref_model()
+    oracle = make_drift_oracle(model, mode="analytic-linear")
+    sweep = filter_sweep_cfg()
+    want = filter_error_sweep(model, oracle, "tanh", sweep)
+    got = filter_error_sweep(model, oracle, "tanh", dataclasses.replace(sweep, threads=2))
+    assert rows_of(got) == rows_of(want)
+    assert helpers["helpers"] == [] and helpers["received"] + helpers["inline"] == 0
+    assert_no_child_left(helpers)
+
+
+def test_helper_serves_only_planned_draws_to_its_own_thread():
+    planned = (5, "signal-slow", 20, 30, 1, math.sqrt(0.01))
+    with ahead.start() as helper:
+        helper.queue([planned, planned])
+        helper.next_job()
+        other = []
+        worker = threading.Thread(target=lambda: other.append(helper(planned)))
+        worker.start()
+        worker.join(10.0)
+        assert not worker.is_alive()
+        assert other == [None]  # another thread draws inline
+        assert helper((5, "signal-slow", 20, 30, 1, 0.2)) is None  # not planned
+        first, second = helper(planned), helper(planned)
+        assert helper(planned) is None  # each planned block is sent once
+        want = streams.normal_increments(*planned)
+        assert first.tobytes() == want.tobytes() == second.tobytes()
+        assert first.shape == want.shape and first.flags.c_contiguous
+    assert streams._drawn_ahead is None
+    assert helper((5, "signal-slow", 20, 30, 1, 0.1)) is None  # closed: inline
 
 
 # ===== rate fit =====

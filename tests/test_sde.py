@@ -325,6 +325,87 @@ def test_one_column_diffusion_is_the_bytes_of_matmul(N):
         assert got.tobytes() == want.tobytes()
 
 
+# ===== finiteness of the slow-fast, averaged and auxiliary runs =====
+# Each run checks a state through the mean of the summary its next step makes,
+# and the last state plainly; Instability names the step the state belongs to.
+
+
+def _poisoning(fn, at, bad):
+    """fn, except that call number ``at`` puts ``bad`` into particle 1."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(None)
+        out = np.array(fn(*args), dtype=float)
+        if len(calls) == at:
+            out[1] = bad
+        return out
+
+    return wrapped
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("T", [0.1, 0.03])  # a mid-run step, and the last step
+@pytest.mark.parametrize("state", ["slow", "fast"])
+def test_slow_fast_non_finite_particle_raises_at_its_step(bad, T, state):
+    base = ref_model()
+    cfg = SdeConfig(epsilon=0.1, T=T, dt_macro=0.01, micro_substeps=2, N=5, seed=1)
+    if state == "slow":  # b1 runs once per macro step
+        model = dataclasses.replace(base, b1=_poisoning(base.b1, 3, bad))
+    else:  # b2 runs once per micro-substep; poison the last one of step 3
+        model = dataclasses.replace(base, b2=_poisoning(base.b2, 6, bad))
+    with np.errstate(invalid="ignore"), pytest.raises(Instability) as err:
+        simulate_slow_fast(model, cfg)
+    assert (err.value.step, err.value.time) == (3, 3 * 0.01)
+    assert f"{state} state" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("T", [0.1, 0.03])
+def test_averaged_non_finite_particle_raises_at_its_step(bad, T):
+    drift = _poisoning(lambda x, mu: -x, 3, bad)
+    cfg = SdeConfig(epsilon=0.1, T=T, dt_macro=0.01, N=5, seed=1)
+    with np.errstate(invalid="ignore"), pytest.raises(Instability) as err:
+        simulate_averaged(ref_model(), drift, cfg)
+    assert (err.value.step, err.value.time) == (3, 3 * 0.01)
+
+
+# delta_eps=0.03 restarts at steps 0, 3, 6, 9: step 3 is a restart, whose
+# computed state is replaced before any summary sees it; step 4 is not; T=0.04
+# makes step 4 the last.
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("step, T", [(3, 0.1), (4, 0.1), (4, 0.04)])
+def test_auxiliary_non_finite_particle_raises_at_its_step(bad, step, T):
+    base = ref_model()
+    cfg = SdeConfig(
+        epsilon=0.1, T=T, dt_macro=0.01, micro_substeps=2, N=5, seed=1, delta_eps=0.03
+    )
+    path = simulate_slow_fast(base, cfg)
+    model = dataclasses.replace(base, b2=_poisoning(base.b2, 2 * step, bad))
+    with np.errstate(invalid="ignore"), pytest.raises(Instability) as err:
+        simulate_auxiliary(model, path, cfg)
+    assert (err.value.step, err.value.time) == (step, step * 0.01)
+
+
+def test_runs_of_a_finite_state_whose_sum_overflows():
+    # every particle sits at 1e308 and never moves: each summary's sum
+    # overflows, but no point is non-finite, so every run must finish
+    zero = lambda x, *args: np.zeros_like(x)  # noqa: E731
+    model = ModelSpec(
+        n=1, m=1, l=1, x0=np.full(1, 1e308), z0=np.full(1, 1e308),
+        b1=zero, sigma1=lambda x, mu: np.zeros((1, 1)),
+        b2=lambda x, mu, z, nu: np.zeros_like(z),
+        sigma2=lambda x, mu, z, nu: np.zeros((1, 1)), h=lambda x, mu: x,
+    )
+    cfg = SdeConfig(epsilon=0.1, T=0.05, dt_macro=0.01, N=5, seed=1, delta_eps=0.02)
+    with np.errstate(over="ignore"):
+        path = simulate_slow_fast(model, cfg)
+        averaged = simulate_averaged(model, zero, cfg)
+        aux = simulate_auxiliary(model, path, cfg)
+    for states in (path.slow, path.fast, averaged.slow, aux.aux):
+        assert np.all(states == 1e308)
+
+
 def _zero_summary(d):
     from mvx_avgfilter.measure import MeasureSummary
 
