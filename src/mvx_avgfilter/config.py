@@ -18,8 +18,8 @@ from typing import Optional, Tuple
 
 from .errors import InvalidParams, ParseError, ValidationError
 from .experiments import validate_sweep_grid
-from .filtering import FilterConfig, get_functional
-from .model import LinearModelParams, ModelSpec, make_linear_model
+from .filtering import FILTER_KINDS, FilterConfig, get_functional
+from .model import LinearModelParams, ModelSpec, make_linear_model, validate_probe
 from .sde import FrozenRunConfig, SdeConfig, validate_stability
 
 COMMANDS = (
@@ -32,7 +32,6 @@ COMMANDS = (
     "probe",
 )
 FORMATS = ("csv", "json", "both")
-FILTER_KINDS = ("multiscale", "averaged")
 
 # sections each command cannot run without
 _REQUIRED_SECTIONS = {
@@ -327,9 +326,10 @@ def parse_config(text: str) -> RunConfig:
             domain_box=_float_tuple(box, "probe.domain_box"),
             p=raw.get("p", 1),
         )
-        _require(probe.sample_count >= 2, "probe.sample_count >= 2 required")
-        _require(probe.domain_box[0] < probe.domain_box[1], "probe.domain_box must satisfy lo < hi")
-        _require(probe.p >= 1, "probe.p >= 1 required")
+        try:
+            validate_probe(probe.sample_count, probe.domain_box, probe.p)
+        except InvalidParams as err:
+            raise ValidationError(f"probe.{err}") from err
 
     for name in _REQUIRED_SECTIONS[command]:
         section = {"sde": sde, "frozen": frozen, "filter": filt, "sweep": sweep}[name]

@@ -19,10 +19,6 @@ class DimensionMismatch(MvxError):
     """Array shapes inconsistent with the declared dimensions."""
 
 
-class NonFiniteResult(MvxError):
-    """A computation produced NaN or infinity where a finite value is required."""
-
-
 class DegenerateWeights(MvxError):
     """All particle weights vanished; no distribution left to resample."""
 

@@ -39,6 +39,7 @@ from .errors import (
     WeightCollapse,
 )
 from .filtering import (
+    FILTER_KINDS,
     FilterConfig,
     _filter_fast_noise,
     _filter_slow_increments,
@@ -60,8 +61,6 @@ from .sde import (
     suggest_micro_substeps,
 )
 from .streams import derive_seed
-
-ARM_KINDS = ("multiscale", "averaged")
 
 
 def delta_schedule(epsilon: float) -> float:
@@ -357,7 +356,7 @@ def filter_error_sweep(
     drift,
     functional: str,
     sweep: SweepConfig,
-    arms: Tuple[str, str] = ARM_KINDS,
+    arms: Tuple[str, str] = FILTER_KINDS,
 ) -> SweepReport:
     """Mean and SE of |pi_a(F) - pi_b(F)|^p, time averaged, per epsilon.
 
@@ -368,8 +367,8 @@ def filter_error_sweep(
     """
     if sweep.filter_cfg is None:
         raise InvalidParams("filter_error_sweep needs sweep.filter_cfg")
-    if len(arms) != 2 or any(a not in ARM_KINDS for a in arms):
-        raise InvalidParams(f"arms must be a pair drawn from {ARM_KINDS}, got {arms!r}")
+    if len(arms) != 2 or any(a not in FILTER_KINDS for a in arms):
+        raise InvalidParams(f"arms must be a pair drawn from {FILTER_KINDS}, got {arms!r}")
     if "averaged" in arms and drift is None:
         raise InvalidParams("averaged filter arm needs a drift oracle")
     t0 = time.perf_counter()

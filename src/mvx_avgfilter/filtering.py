@@ -46,6 +46,9 @@ OBSERVATION_LABEL = "observation"
 FILTER_SLOW_LABEL = "filter-slow"
 FILTER_FAST_LABEL = "filter-fast"
 
+# signal models the filter can propagate under: the multiscale pair or its average
+FILTER_KINDS = ("multiscale", "averaged")
+
 
 @dataclass(eq=False)
 class ObservationPath:
@@ -161,7 +164,11 @@ def get_functional(name: str) -> Callable[[np.ndarray, MeasureSummary], np.ndarr
 
 
 def _uniform_summary(points: np.ndarray) -> MeasureSummary:
-    """Equal-weight summary with :func:`summarize`'s arithmetic, no cloud copy."""
+    """Equal-weight summary of an (N, d) array: ``w @ points`` with every w = 1/N.
+
+    The observation law traces are made this way, not by the unweighted
+    ``summarize_points``, whose plain average can differ in the last bit.
+    """
     return summarize_points(points, np.full(points.shape[0], 1.0 / points.shape[0]))
 
 
@@ -301,7 +308,7 @@ def run_filter(
     with :func:`_filter_slow_increments` and hands it to both filter arms.
     """
 
-    if signal_kind not in ("multiscale", "averaged"):
+    if signal_kind not in FILTER_KINDS:
         raise InvalidParams(f"signal_kind must be multiscale or averaged, got {signal_kind!r}")
     if signal_kind == "averaged" and drift is None:
         raise InvalidParams("averaged filtering requires an averaged-drift oracle")

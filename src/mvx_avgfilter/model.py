@@ -32,7 +32,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParams
-from .measure import MeasureSummary
+from .measure import MeasureSummary, dirac_summary
 from .streams import stream
 
 
@@ -193,16 +193,24 @@ def eval_coefficients(
     )
 
 
-def _point_summary(mean: np.ndarray) -> MeasureSummary:
-    return MeasureSummary(mean=mean, second_moment=float(mean @ mean), n_points=1)
-
-
 def _sigma_rows(sig: np.ndarray, count: int, d: int) -> np.ndarray:
     """Normalize a diffusion evaluation to shape (count, d, d)."""
     sig = np.asarray(sig, dtype=np.float64)
     if sig.ndim == 2:
         return np.broadcast_to(sig, (count, d, d))
     return sig
+
+
+def validate_probe(sample_count: int, domain_box, p: int) -> None:
+    """Refuse probe settings the prober cannot use; shared with parse_config."""
+    if sample_count < 2:
+        raise InvalidParams(f"sample_count >= 2 required, got {sample_count!r}")
+    if len(domain_box) != 2 or not all(map(math.isfinite, domain_box)):
+        raise InvalidParams(f"domain_box must be a finite (lo, hi) pair, got {domain_box!r}")
+    if not domain_box[0] < domain_box[1]:
+        raise InvalidParams(f"domain_box must satisfy lo < hi, got {domain_box!r}")
+    if p < 1:
+        raise InvalidParams(f"p >= 1 required, got {p!r}")
 
 
 def probe_assumptions(
@@ -224,11 +232,8 @@ def probe_assumptions(
     magnitude as the distribution-distance surrogate (a lower bound on the
     true distance, so the margin is optimistic for mean-coupled models).
     """
-    if sample_count < 2:
-        raise InvalidParams("sample_count >= 2 required")
+    validate_probe(sample_count, domain_box, p)
     lo, hi = float(domain_box[0]), float(domain_box[1])
-    if not lo < hi:
-        raise InvalidParams("domain_box must be a nondegenerate (lo, hi) interval")
     n, m = model.n, model.m
     gen = stream(seed, "assumption-probe")
 
@@ -253,8 +258,8 @@ def probe_assumptions(
         s2v = np.empty((sample_count, m, m))
         hv = np.empty((sample_count, model.l))
         for i in range(sample_count):
-            mu = _point_summary(mus[i, which])
-            nu = _point_summary(nus[i, which])
+            mu = dirac_summary(mus[i, which])
+            nu = dirac_summary(nus[i, which])
             b1v[i] = model.b1(x[i], mu, z[i])
             s1v[i] = _sigma_rows(model.sigma1(x[i], mu), 1, n)[0]
             b2v[i] = model.b2(x[i], mu, z[i], nu)
@@ -285,9 +290,9 @@ def probe_assumptions(
     dz = zs[:, 0] - zs[:, 1]
     lhs = np.empty(sample_count)
     for i in range(sample_count):
-        mu = _point_summary(mus[i, 0])
-        nu1 = _point_summary(nus[i, 0])
-        nu2 = _point_summary(nus[i, 1])
+        mu = dirac_summary(mus[i, 0])
+        nu1 = dirac_summary(nus[i, 0])
+        nu2 = dirac_summary(nus[i, 1])
         x = xs[i, 0]
         db2 = np.asarray(model.b2(x, mu, zs[i, 0], nu1)) - np.asarray(model.b2(x, mu, zs[i, 1], nu2))
         ds2 = _sigma_rows(model.sigma2(x, mu, zs[i, 0], nu1), 1, m)[0] - _sigma_rows(

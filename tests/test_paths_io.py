@@ -1,10 +1,10 @@
 """Array-backed paths and the array writers.
 
-Paths are read-only (steps+1, N, d) arrays with clouds built on demand; the
-writers format those arrays directly, streamed in blocks, and must produce
-exactly the bytes of the per-value reference formatting (``json.dumps`` of
-nested lists, ``format(v, ".17g")`` per CSV cell) in memory that does not
-grow with the table.
+Paths are read-only (steps+1, N, d) arrays and laws are summaries of their
+rows; the writers format those arrays directly, streamed in blocks, and must
+produce exactly the bytes of the per-value reference formatting
+(``json.dumps`` of nested lists, ``format(v, ".17g")`` per CSV cell) in
+memory that does not grow with the table.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 from mvx_avgfilter.averaging import _mean_se_tau, estimate_bbar, make_drift_oracle
 from mvx_avgfilter.experiments import SweepConfig, averaging_error_sweep, sup_path_error
 from mvx_avgfilter.filtering import FilterConfig, generate_observations, run_filter
-from mvx_avgfilter.measure import ParticleCloud, dirac_summary, summarize, summarize_points
+from mvx_avgfilter.measure import dirac_summary, summarize_points
 from mvx_avgfilter.model import LinearModelParams, ModelSpec, make_linear_model, probe_assumptions
 from mvx_avgfilter.errors import InvalidParams
 from mvx_avgfilter.sde import (
@@ -118,17 +118,16 @@ def test_path_arrays_are_read_only_and_match_clouds(kind):
     path = all_paths()[kind]
     for name in ("slow", "fast", "aux"):
         arr = getattr(path, name)
-        clouds = getattr(path, name + "_clouds")
         if arr is None:
-            assert clouds is None
             continue
         assert arr.shape[0] == len(path.times) and arr.ndim == 3
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0, 0] = 1.0
-        assert len(clouds) == len(path.times)
-        for k, cloud in enumerate(clouds):
-            assert np.array_equal(cloud.points, arr[k])
+    clouds = path.slow_clouds
+    assert len(clouds) == len(path.times)
+    for k, cloud in enumerate(clouds):
+        assert np.array_equal(cloud.points, path.slow[k])
 
 
 def test_path_presence_per_simulator():
@@ -159,15 +158,16 @@ def test_law_trace_equals_cloud_summaries_bitwise(n_particles):
     model = linear(2)
     signal = simulate_slow_fast(model, sde_cfg(N=n_particles))
     obs = generate_observations(model, signal, 3, 0.02, seed_v=5)
+    w = np.full(n_particles, 1.0 / n_particles)
     for k, summary in enumerate(obs.signal_law_trace):
-        want = summarize(ParticleCloud(signal.slow[2 * k]))
-        assert np.array_equal(summary.mean, want.mean)
-        assert summary.second_moment == want.second_moment
+        points = signal.slow[2 * k]
+        assert np.array_equal(summary.mean, w @ points)
+        assert summary.second_moment == float(w @ np.einsum("ij,ij->i", points, points))
         assert summary.n_points == n_particles
     for k, summary in enumerate(obs.fast_law_trace):
-        want = summarize(ParticleCloud(signal.fast[2 * k]))
-        assert np.array_equal(summary.mean, want.mean)
-        assert summary.second_moment == want.second_moment
+        points = signal.fast[2 * k]
+        assert np.array_equal(summary.mean, w @ points)
+        assert summary.second_moment == float(w @ np.einsum("ij,ij->i", points, points))
 
 
 @pytest.mark.parametrize("shape", [(7, 1), (200, 1), (1001, 1), (37, 2), (400, 3)])
@@ -186,8 +186,8 @@ def test_ensemble_json_matches_cloud_lists(tmp_path):
     payload = ensemble_json(path)
     legacy = {
         "times": [float(t) for t in path.times],
-        "slow": [c.points.tolist() for c in path.slow_clouds],
-        "fast": [c.points.tolist() for c in path.fast_clouds],
+        "slow": [p.tolist() for p in path.slow],
+        "fast": [p.tolist() for p in path.fast],
     }
     assert written(tmp_path, payload) == reference_json(legacy)
 
@@ -204,7 +204,7 @@ def test_frozen_json_matches_cloud_lists(tmp_path):
     path = all_paths()["frozen"]
     legacy = {
         "times": [float(t) for t in path.times],
-        "fast": [c.points.tolist() for c in path.fast_clouds],
+        "fast": [p.tolist() for p in path.fast],
     }
     assert written(tmp_path, frozen_json(path)) == reference_json(legacy)
 

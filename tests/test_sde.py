@@ -34,7 +34,7 @@ from mvx_avgfilter.filtering import (
     log_likelihood_increment,
     run_filter,
 )
-from mvx_avgfilter.measure import summarize, summarize_points, systematic_resample_indices
+from mvx_avgfilter.measure import summarize_points, systematic_resample_indices
 from mvx_avgfilter.model import LinearModelParams, ModelSpec, make_linear_model
 from mvx_avgfilter.sde import (
     FrozenRunConfig,
@@ -110,16 +110,15 @@ def test_constant_slow_when_b1_sigma1_zero():
     model = ref_model(params, x0=0.7)
     cfg = SdeConfig(epsilon=0.1, T=0.5, dt_macro=0.05, micro_substeps=4, N=50, seed=3)
     path = simulate_slow_fast(model, cfg)
-    for cloud in path.slow_clouds:
-        assert np.all(cloud.points == 0.7)
+    assert np.all(path.slow == 0.7)
 
 
 def test_initial_clouds_are_dirac():
     model = ref_model(x0=1.0, z0=-2.0)
     cfg = SdeConfig(epsilon=0.1, T=0.2, dt_macro=0.05, micro_substeps=4, N=20, seed=1)
     path = simulate_slow_fast(model, cfg)
-    assert np.all(path.slow_clouds[0].points == 1.0)
-    assert np.all(path.fast_clouds[0].points == -2.0)
+    assert np.all(path.slow[0] == 1.0)
+    assert np.all(path.fast[0] == -2.0)
     assert path.times[0] == 0.0
     assert path.times[-1] == pytest.approx(0.2)
 
@@ -129,7 +128,7 @@ def test_driftless_slow_variance():
     model = ref_model(params, x0=0.0)
     cfg = SdeConfig(epsilon=0.1, T=1.0, dt_macro=0.01, micro_substeps=1, N=10_000, seed=11)
     path = simulate_slow_fast(model, cfg)
-    var = float(np.var(path.slow_clouds[-1].points[:, 0], ddof=1))
+    var = float(np.var(path.slow[-1][:, 0], ddof=1))
     assert var == pytest.approx(0.49, rel=0.05)
 
 
@@ -138,10 +137,8 @@ def test_determinism_bitwise():
     cfg = SdeConfig(epsilon=0.05, T=0.5, dt_macro=0.01, micro_substeps=2, N=64, seed=42)
     a = simulate_slow_fast(model, cfg)
     b = simulate_slow_fast(model, cfg)
-    for ca, cb in zip(a.slow_clouds, b.slow_clouds):
-        assert np.array_equal(ca.points, cb.points)
-    for ca, cb in zip(a.fast_clouds, b.fast_clouds):
-        assert np.array_equal(ca.points, cb.points)
+    assert np.array_equal(a.slow, b.slow)
+    assert np.array_equal(a.fast, b.fast)
 
 
 def test_adding_particles_preserves_existing_paths():
@@ -155,7 +152,7 @@ def test_adding_particles_preserves_existing_paths():
     a = normal_increments(7, "signal-slow", 6, 8, 1, 1.0)
     b = normal_increments(7, "signal-slow", 6, 16, 1, 1.0)
     assert np.array_equal(a, b[:, :8, :])
-    assert pa.slow_clouds[1].n == 8 and pb.slow_clouds[1].n == 16
+    assert pa.slow[1].shape[0] == 8 and pb.slow[1].shape[0] == 16
 
 
 def test_moment_envelope():
@@ -167,10 +164,10 @@ def test_moment_envelope():
         for p in (1, 2):
             bound = 10.0 * (1.0 + 1.0 + 1.0)  # |x0|^{2p} = |z0|^{2p} = 1
             worst_x = max(
-                float(np.mean(np.sum(c.points**2, axis=1) ** p)) for c in path.slow_clouds
+                float(np.mean(np.sum(pts**2, axis=1) ** p)) for pts in path.slow
             )
             worst_z = max(
-                float(np.mean(np.sum(c.points**2, axis=1) ** p)) for c in path.fast_clouds
+                float(np.mean(np.sum(pts**2, axis=1) ** p)) for pts in path.fast
             )
             assert worst_x <= bound
             assert worst_z <= bound
@@ -208,7 +205,7 @@ def test_frozen_stationary_mean():
     model = ref_model(params)
     cfg = FrozenRunConfig(M=4000, dt=0.01, burn_in=2.0, avg_window=5.0, seed=5)
     path = simulate_frozen(model, np.array([1.0]), _zero_summary(1), cfg)
-    tail = [summarize(c).mean[0] for c in path.fast_clouds[len(path.times) // 2 :]]
+    tail = [summarize_points(pts).mean[0] for pts in path.fast[len(path.times) // 2 :]]
     assert np.mean(tail) == pytest.approx(0.5, abs=0.02)
 
 
@@ -217,8 +214,8 @@ def test_frozen_zero_case():
     model = ref_model(params, z0=0.0)
     cfg = FrozenRunConfig(M=2000, dt=0.01, burn_in=0.0, avg_window=2.0, seed=5)
     path = simulate_frozen(model, np.zeros(1), _zero_summary(1), cfg)
-    for c in path.fast_clouds:
-        assert abs(float(summarize(c).mean[0])) < 0.1
+    for pts in path.fast:
+        assert abs(float(summarize_points(pts).mean[0])) < 0.1
 
 
 def test_frozen_ou_variance():
@@ -228,8 +225,8 @@ def test_frozen_ou_variance():
     path = simulate_frozen(model, np.zeros(1), _zero_summary(1), cfg)
     half = len(path.times) // 2
     tail_var = np.mean([
-        summarize(c).second_moment - float(summarize(c).mean[0]) ** 2
-        for c in path.fast_clouds[half:]
+        summarize_points(pts).second_moment - float(summarize_points(pts).mean[0]) ** 2
+        for pts in path.fast[half:]
     ])
     assert tail_var == pytest.approx(0.25, rel=0.05)
 
@@ -239,7 +236,7 @@ def test_frozen_deterministic_contraction():
     model = ref_model(params, z0=1.0)
     cfg = FrozenRunConfig(M=10, dt=0.01, burn_in=0.0, avg_window=4.0, seed=0)
     path = simulate_frozen(model, np.zeros(1), _zero_summary(1), cfg)
-    final = summarize(path.fast_clouds[-1])
+    final = summarize_points(path.fast[-1])
     assert abs(float(final.mean[0])) < 1e-3
     assert final.second_moment < 1e-3
 
@@ -420,9 +417,8 @@ def test_averaged_constant_when_zero():
     model = ref_model(params, x0=2.0)
     cfg = SdeConfig(epsilon=0.1, T=0.5, dt_macro=0.05, micro_substeps=1, N=30, seed=0)
     path = simulate_averaged(model, lambda x, mu: np.zeros_like(x), cfg)
-    for c in path.slow_clouds:
-        assert np.all(c.points == 2.0)
-    assert path.fast_clouds is None
+    assert np.all(path.slow == 2.0)
+    assert path.fast is None
 
 
 def test_averaged_scalar_ode():
@@ -431,7 +427,7 @@ def test_averaged_scalar_ode():
     dt = 0.01
     cfg = SdeConfig(epsilon=0.1, T=1.0, dt_macro=dt, micro_substeps=1, N=10, seed=0)
     path = simulate_averaged(model, lambda x, mu: -x / 3.0, cfg)
-    xT = float(path.slow_clouds[-1].points[0, 0])
+    xT = float(path.slow[-1][0, 0])
     euler = (1.0 - dt / 3.0) ** 100
     assert xT == pytest.approx(euler, abs=1e-12)
     assert xT == pytest.approx(math.exp(-1.0 / 3.0), abs=5e-4)
@@ -449,8 +445,7 @@ def test_averaged_bit_identical_when_z_free():
 
     sf = simulate_slow_fast(model, cfg)
     av = simulate_averaged(model, analytic, cfg)
-    for ca, cb in zip(sf.slow_clouds, av.slow_clouds):
-        assert np.array_equal(ca.points, cb.points)
+    assert np.array_equal(sf.slow, av.slow)
 
 
 # ===== coupled_pair =====
@@ -467,8 +462,7 @@ def test_coupled_pair_exact_zero_when_z_free():
         return p.a11 * x + p.a12 * mu.mean + p.a13 * w
 
     sf, av = coupled_pair(model, analytic, cfg)
-    for ca, cb in zip(sf.slow_clouds, av.slow_clouds):
-        assert np.max(np.abs(ca.points - cb.points)) == 0.0
+    assert np.max(np.abs(sf.slow - av.slow)) == 0.0
 
 
 def test_coupled_pair_error_shrinks_with_epsilon():
@@ -485,8 +479,8 @@ def test_coupled_pair_error_shrinks_with_epsilon():
         cfg = SdeConfig(epsilon=eps, T=1.0, dt_macro=0.01, micro_substeps=k, N=400, seed=31)
         sf, av = coupled_pair(model, analytic, cfg)
         worst = np.zeros(400)
-        for ca, cb in zip(sf.slow_clouds, av.slow_clouds):
-            worst = np.maximum(worst, np.linalg.norm(ca.points - cb.points, axis=1))
+        for ca, cb in zip(sf.slow, av.slow):
+            worst = np.maximum(worst, np.linalg.norm(ca - cb, axis=1))
         sups[eps] = float(np.mean(worst**2))
     assert sups[0.01] < sups[0.1]
 
@@ -512,7 +506,7 @@ def test_coupled_pair_deterministic_matches_quadrature():
     for dt in (0.01, 0.005):
         cfg = SdeConfig(epsilon=0.05, T=1.0, dt_macro=dt, micro_substeps=2, N=16, seed=3)
         _, av = coupled_pair(model, analytic, cfg)
-        errs[dt] = abs(float(av.slow_clouds[-1].points[0, 0]) - ref)
+        errs[dt] = abs(float(av.slow[-1][0, 0]) - ref)
     # first-order scheme: halving dt roughly halves the bias
     bias_estimate = 2.0 * abs(errs[0.01] - errs[0.005])
     assert errs[0.01] <= 2.0 * bias_estimate + 1e-9
@@ -560,8 +554,7 @@ def test_auxiliary_identical_for_constant_slow():
     )
     path = simulate_slow_fast(model, cfg)
     aux = simulate_auxiliary(model, path, cfg)
-    for cz, ca in zip(path.fast_clouds, aux.aux_clouds):
-        assert np.array_equal(cz.points, ca.points)
+    assert np.array_equal(path.fast, aux.aux)
 
 
 def test_auxiliary_single_segment_matches_manual_frozen_run():
@@ -577,15 +570,15 @@ def test_auxiliary_single_segment_matches_manual_frozen_run():
     eps, dt, ksub, n_steps = cfg.epsilon, cfg.dt_macro, cfg.micro_substeps, 30
     dts = dt / ksub
     w = normal_increments(77, "signal-fast", n_steps * ksub, 32, 1, math.sqrt(dts))
-    zh = path.fast_clouds[0].points.copy()
-    x_frozen = path.slow_clouds[0].points
+    zh = path.fast[0].copy()
+    x_frozen = path.slow[0]
     mu_mean = x_frozen.mean(axis=0)
     for k in range(n_steps):
         nu_mean = zh.mean(axis=0)
         for s in range(ksub):
             drift = -p.gamma * zh + p.c1 * x_frozen + p.c2 * mu_mean + p.c3 * nu_mean
             zh = zh + drift * (dts / eps) + (p.s2 / math.sqrt(eps)) * w[k * ksub + s]
-        np.testing.assert_array_equal(zh, aux.aux_clouds[k + 1].points)
+        np.testing.assert_array_equal(zh, aux.aux[k + 1])
 
 
 def test_auxiliary_error_shrinks_with_delta():
@@ -598,8 +591,8 @@ def test_auxiliary_error_shrinks_with_delta():
         path = simulate_slow_fast(model, cfg)
         aux = simulate_auxiliary(model, path, cfg)
         worst = max(
-            float(np.mean(np.sum((cz.points - ca.points) ** 2, axis=1)))
-            for cz, ca in zip(path.fast_clouds, aux.aux_clouds)
+            float(np.mean(np.sum((cz - ca) ** 2, axis=1)))
+            for cz, ca in zip(path.fast, aux.aux)
         )
         stats[delta] = worst
     assert stats[0.05] < stats[0.25]
@@ -618,11 +611,9 @@ def test_slow_increment_smallness_stable_across_eps():
         path = simulate_slow_fast(model, cfg)
         seg = max(1, round(delta / 0.01))
         worst = 0.0
-        for idx, cloud in enumerate(path.slow_clouds):
-            anchor = path.slow_clouds[(idx // seg) * seg]
-            worst = max(
-                worst, float(np.mean(np.sum((cloud.points - anchor.points) ** 2, axis=1)))
-            )
+        for idx, pts in enumerate(path.slow):
+            anchor = path.slow[(idx // seg) * seg]
+            worst = max(worst, float(np.mean(np.sum((pts - anchor) ** 2, axis=1))))
         return worst, delta
 
     s1, d1 = stat(0.1)
@@ -673,7 +664,7 @@ def test_simulators_draw_noise_in_the_model_dimensions(n, m, l):
     aux = simulate_auxiliary(model, path, cfg)
     assert aux.aux.shape == (11, 12, m)
     frozen_cfg = FrozenRunConfig(M=9, dt=0.05, burn_in=0.1, avg_window=0.2, seed=2)
-    frozen = simulate_frozen(model, np.zeros(n), summarize(path.slow_clouds[-1]), frozen_cfg)
+    frozen = simulate_frozen(model, np.zeros(n), summarize_points(path.slow[-1]), frozen_cfg)
     assert frozen.fast.shape == (frozen_cfg.n_steps + 1, 9, m)
     for arr in (path.slow, path.fast, avg.slow, aux.aux, frozen.fast):
         assert np.isfinite(arr).all()

@@ -147,11 +147,9 @@ def test_coupled_pair_draws_the_slow_block_once(monkeypatch):
     counting(monkeypatch, sde, calls)
     slow_fast, averaged = sde.coupled_pair(model, drift, cfg)
     assert calls.count(SLOW_LABEL) == 1
-    for a, b in zip(slow_fast.slow_clouds + slow_fast.fast_clouds,
-                    fast_ref.slow_clouds + fast_ref.fast_clouds):
-        assert a.points.tobytes() == b.points.tobytes()
-    for a, b in zip(averaged.slow_clouds, avg_ref.slow_clouds):
-        assert a.points.tobytes() == b.points.tobytes()
+    for a, b in ((slow_fast.slow, fast_ref.slow), (slow_fast.fast, fast_ref.fast),
+                 (averaged.slow, avg_ref.slow)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_filter_sweep_draws_the_filter_slow_block_once_per_job(monkeypatch):
