@@ -3,39 +3,51 @@
 A sweep job spends much of its time in ``streams.normal_increments``. Each
 block is a pure function of its arguments (the counter-based design of
 Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), so
-another process can draw it early without changing a byte. While one job
-runs on the calling thread, a helper process forked from it draws the next
-job's blocks and holds them. When the job calls ``normal_increments`` with
-arguments equal to a planned block, the block comes over a socket at that
-moment, so the caller holds no more noise than when it draws the block
-itself. Any other call draws inline, and so does every call once the helper
-has failed.
+another process can draw it early without changing a byte. ``start`` is
+given the plan of every job (the arguments of its draws, in the order it
+makes them), maps one shared buffer per planned block, and forks one helper
+process. The helper draws each job's blocks straight into their buffers,
+one job ahead of the caller: before each job after the first it waits for
+a "go" byte, which the caller writes as a job starts, and it writes a
+"done" byte per block drawn. Nothing else passes between the two.
 
-In the helper, one thread draws the planned blocks in order while the main
-thread answers the caller: it sends a block once it is drawn, waiting for it
-if need be. The caller asks for its blocks while the next job's are being
-drawn, so the answer cannot wait for a draw in progress to end.
-``multiprocessing`` and ``socket`` are imported only when a helper starts.
+When a job calls ``normal_increments`` with arguments equal to a planned
+block, it waits for that block's "done" byte and receives a view of the
+buffer. Any other call draws inline, and so does every call once the helper
+has failed (closed its pipe or kept the caller waiting past
+``REPLY_TIMEOUT_S``). A planned block the job does not ask for is unmapped
+when the next job starts, and one it does ask for when the job lets go of
+it, as with a block drawn inline.
+
+The buffers are anonymous shared mappings, all made before the fork, and
+lazy: no page is resident until the helper draws into it, and the helper
+unmaps its side of each block once drawn. The benchmark's filter sweep
+(2 epsilons x 20 reps, five blocks a job) maps 200 blocks, about 270 MB of
+address space. Where a mapping, a pipe or the fork fails, ``start``
+returns None and the sweep draws its own noise.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import pickle
-import struct
+import collections
+import itertools
+import math
+import mmap
+import os
+import select
+import signal
 import threading
-from typing import List, Optional
+import time
+from typing import Optional
 
 import numpy as np
 
 from . import streams
 
-# Longest wait for one reply; past it the helper counts as failed.
+# Longest wait for one block; past it the helper counts as failed.
 REPLY_TIMEOUT_S = 60.0
-# Seconds the helper gets to exit after its socket closes, then after SIGTERM.
+# Seconds the helper gets to exit after its pipes close, before SIGKILL.
 JOIN_TIMEOUT_S = 5.0
-
-_HEADER = struct.Struct("<I")
 
 
 def _key(args) -> tuple:
@@ -44,147 +56,108 @@ def _key(args) -> tuple:
     return (seed, label, steps, count, dims, float(scale).hex())
 
 
-def _send_msg(sock, msg) -> None:
-    data = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_HEADER.pack(len(data)) + data)
+def _view(buffer, args) -> np.ndarray:
+    """The (steps, count, dims) float64 array over a block's buffer."""
+    _, _, steps, count, dims, _ = args
+    return np.frombuffer(buffer, np.float64, steps * count * dims).reshape(steps, count, dims)
 
 
-def _recv_into(sock, view) -> bool:
-    """Fill ``view`` from the socket; False when the peer closed first."""
-    got = 0
-    while got < len(view):
-        n = sock.recv_into(view[got:])
-        if n == 0:
-            return False
-        got += n
-    return True
-
-
-def _recv_msg(sock):
-    """Next message, or None once the peer has closed."""
-    header = bytearray(_HEADER.size)
-    if not _recv_into(sock, memoryview(header)):
-        return None
-    data = bytearray(_HEADER.unpack(header)[0])
-    if not _recv_into(sock, memoryview(data)):
-        return None
-    return pickle.loads(data)
-
-
-def _serve(sock, other_end) -> None:
-    """The helper process: draw planned blocks, answer the caller until it closes.
-
-    Any failure ends the helper; the caller then draws every block itself.
-    """
-    other_end.close()
-    drawer = concurrent.futures.ThreadPoolExecutor(max_workers=1)
-    blocks = {}  # index -> future block, drawn in plan order
-    try:
-        while True:
-            msg = _recv_msg(sock)
-            if msg is None:
-                return
-            kind, arg = msg
-            if kind == "plan":
-                for index, args in arg:
-                    blocks[index] = drawer.submit(streams._draw_block, *args)
-            elif kind == "drop":
-                for index in arg:
-                    blocks.pop(index).cancel()
-            else:  # "take"
-                sock.sendall(memoryview(blocks.pop(arg).result()).cast("B"))
-    except Exception:
-        pass
-    finally:
-        drawer.shutdown(wait=False, cancel_futures=True)
-        sock.close()
+def _draw(plans, buffers, go: int, done: int) -> None:
+    """The helper process: draw every job's blocks into their buffers, one job
+    ahead of the caller; stop at the end of the plan, or once the caller has
+    closed its ends or died."""
+    for job, (plan, maps) in enumerate(zip(plans, buffers)):
+        if job and not os.read(go, 1):
+            return
+        for args, buffer in zip(plan, maps):
+            streams._draw_block(*args, out=_view(buffer, args))
+            buffer.close()  # the view is gone, so the mapping can close
+            os.write(done, b"\0")
 
 
 class DrawAhead:
     """Caller side of one helper process; see the module docstring.
 
-    ``queue`` plans draws, ``next_job`` marks where one job's draws end and
-    the next one's begin, and ``close`` stops the helper. While open, the
-    instance is ``streams``' source of blocks drawn ahead, for the thread that
-    started it only.
+    ``next_job`` marks where one job's draws begin, and ``close`` stops the
+    helper. While open, the instance is ``streams``' source of blocks drawn
+    ahead, for the thread that started it only.
     """
 
-    def __init__(self, process, sock):
-        self._process = process
-        self._sock = sock
+    def __init__(self, pid: int, go: int, done: int, plans, buffers):
+        self.pid = pid
+        self._go: Optional[int] = go
+        self._done: Optional[int] = done
+        self._drawn = 0  # "done" bytes read so far
+        ordinals = itertools.count()  # a block's place in the helper's drawing order
+        self._jobs = collections.deque(
+            [(next(ordinals), _key(args), buf) for args, buf in zip(plan, maps)]
+            for plan, maps in zip(plans, buffers)
+        )
+        self._current: list = []
         self._thread = threading.get_ident()
-        self._count = 0
-        self._current: List[tuple] = []
-        self._upcoming: List[tuple] = []
         streams._drawn_ahead = self
 
-    def queue(self, draws) -> None:
-        """Plan ``draws`` (normal_increments argument tuples) for the job after
-        the running one, in the order that job makes them."""
-        planned = [(self._count + i, tuple(args)) for i, args in enumerate(draws)]
-        self._count += len(planned)
-        self._upcoming.extend((index, _key(args)) for index, args in planned)
-        if planned:
-            self._request(("plan", planned))
-
-    def next_job(self, draws=()) -> None:
+    def next_job(self) -> None:
         """A job starts: the blocks planned for it become the ones it can
-        receive, blocks the last job did not ask for are dropped, and
-        ``draws`` are planned for the job after it."""
-        if self._current:
-            self._request(("drop", [index for index, _ in self._current]))
-        self._current, self._upcoming = self._upcoming, []
-        self.queue(draws)
+        receive, and those the last job did not ask for are unmapped."""
+        self._current = self._jobs.popleft() if self._jobs else []
+        if self._jobs and self._go is not None:
+            try:
+                os.write(self._go, b"\0")
+            except OSError:
+                self._shut()
 
     def __call__(self, args) -> Optional[np.ndarray]:
         """The block for a normal_increments call, or None to draw inline."""
-        if self._sock is None or threading.get_ident() != self._thread:
+        if self._done is None or threading.get_ident() != self._thread:
             return None
         key = _key(args)
-        for pos, (index, planned) in enumerate(self._current):
+        for pos, (ordinal, planned, buffer) in enumerate(self._current):
             if planned == key:
                 break
         else:
             return None
         del self._current[pos]
-        _, _, steps, count, dims, _ = args
-        out = np.empty((steps, count, dims), dtype=np.float64)
-        try:
-            _send_msg(self._sock, ("take", index))
-            if not _recv_into(self._sock, memoryview(out).cast("B")):
-                raise EOFError("helper closed")
-        except (OSError, EOFError):  # timeouts included: draw inline from now on
-            self._shut()
+        if not self._wait_for(ordinal):
             return None
-        return out
+        return _view(buffer, args)
 
-    def _request(self, msg) -> None:
-        if self._sock is None:
-            return
-        try:
-            _send_msg(self._sock, msg)
-        except OSError:
-            self._shut()
+    def _wait_for(self, ordinal: int) -> bool:
+        """Read "done" bytes until block ``ordinal`` is drawn; False, with the
+        helper shut, if its pipe closes first or the wait runs out."""
+        deadline = time.monotonic() + REPLY_TIMEOUT_S
+        poller = select.poll()
+        poller.register(self._done, select.POLLIN)
+        while self._drawn <= ordinal:
+            left = deadline - time.monotonic()
+            got = os.read(self._done, 4096) if left > 0 and poller.poll(left * 1e3) else b""
+            if not got:
+                self._shut()
+                return False
+            self._drawn += len(got)
+        return True
 
     def _shut(self) -> None:
-        if self._sock is not None:
-            self._sock.close()
-            self._sock = None
+        for fd in (self._go, self._done):
+            if fd is not None:
+                os.close(fd)
+        self._go = self._done = None
 
     def close(self) -> None:
-        """Stop the helper and wait for it; always leaves no process behind."""
+        """Stop the helper and reap it; always leaves no process behind."""
         if streams._drawn_ahead is self:
             streams._drawn_ahead = None
         self._shut()
-        process = self._process
-        process.join(JOIN_TIMEOUT_S)
-        if process.is_alive():
-            process.terminate()
-            process.join(JOIN_TIMEOUT_S)
-        if process.is_alive():
-            process.kill()
-            process.join()
-        process.close()
+        self._jobs.clear()
+        self._current = []
+        deadline = time.monotonic() + JOIN_TIMEOUT_S
+        try:
+            while os.waitpid(self.pid, os.WNOHANG)[0] == 0:
+                if time.monotonic() > deadline:
+                    os.kill(self.pid, signal.SIGKILL)
+                time.sleep(0.005)
+        except ChildProcessError:  # reaped already
+            pass
 
     def __enter__(self) -> "DrawAhead":
         return self
@@ -193,26 +166,34 @@ class DrawAhead:
         self.close()
 
 
-def start() -> Optional[DrawAhead]:
-    """Fork a helper process; None where the ``fork`` start method is missing
-    or another helper already serves this process."""
-    if streams._drawn_ahead is not None:
+def start(plans) -> Optional[DrawAhead]:
+    """Fork a helper that draws ``plans`` (per job, the normal_increments
+    argument tuples of its draws, in order); None where ``os.fork`` is
+    missing, a mapping, pipe or fork fails, or another helper already serves
+    this process."""
+    if streams._drawn_ahead is not None or not hasattr(os, "fork"):
         return None
-    import multiprocessing
-    import socket
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    ours, theirs = socket.socketpair()
-    process = multiprocessing.get_context("fork").Process(
-        target=_serve, args=(theirs, ours), name="mvx-draw-ahead", daemon=True
-    )
+    fds = []
     try:
-        process.start()
+        buffers = [
+            [mmap.mmap(-1, max(8 * math.prod(args[2:5]), 1)) for args in plan] for plan in plans
+        ]
+        go_read, go_write = os.pipe()
+        fds += [go_read, go_write]
+        done_read, done_write = os.pipe()
+        fds += [done_read, done_write]
+        pid = os.fork()
     except OSError:
-        ours.close()
-        theirs.close()
+        for fd in fds:
+            os.close(fd)
         return None
-    theirs.close()
-    ours.settimeout(REPLY_TIMEOUT_S)
-    return DrawAhead(process, ours)
+    if pid == 0:
+        try:
+            os.close(go_write)
+            os.close(done_read)
+            _draw(plans, buffers, go_read, done_write)
+        finally:
+            os._exit(0)
+    os.close(go_read)
+    os.close(done_write)
+    return DrawAhead(pid, go_write, done_read, plans, buffers)

@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from . import SCHEMA_VERSION
-from .measure import MeasureSummary, summarize_points
+from .measure import MeasureSummary
 from .model import LinearModelParams, ModelSpec
 from .sde import FrozenRunConfig, simulate_frozen
 from .serialize import atomic_write_text

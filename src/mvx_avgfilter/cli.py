@@ -265,8 +265,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--threads", default=None,
         help="integer >= 1 or 'auto' (the CPUs this process may use); env MVX_THREADS. "
         "Above 1, where a second CPU is usable, sweeps fork one helper process that draws "
-        "the next job's noise while a job runs; jobs still run in order and the results "
-        "are identical",
+        "the next job's noise while a job runs, into buffers shared with the sweep (mapped "
+        "lazily at the start, one per planned block); jobs still run in order, the results "
+        "are identical, and a sweep whose helper cannot start or fails draws its own noise",
     )
     return parser
 

@@ -334,6 +334,12 @@ def parse_config(text: str) -> RunConfig:
     for name in _REQUIRED_SECTIONS[command]:
         section = {"sde": sde, "frozen": frozen, "filter": filt, "sweep": sweep}[name]
         _require(section is not None, f"command '{command}' requires a {name} section")
+    if command == "filter":
+        _require(
+            0 <= filt.reference_particle < sde.N,
+            f"filter.reference_particle must lie in [0, sde.N={sde.N}), "
+            f"got {filt.reference_particle}",
+        )
 
     # the macro/micro step ratio must respect the fast contraction rate;
     # checked here so a bad config fails before any compute starts

@@ -10,8 +10,9 @@ across reruns.  The jobs run one after another on the calling thread, in
 `_job_keys` order: threads would not overlap them, because the jobs' numpy
 calls and noise re-keying hold the GIL.  With `threads` > 1 and a second
 usable CPU, one helper process draws the next job's noise blocks while a
-job runs (see :mod:`.ahead`); the blocks are the ones the job would draw,
-so the report is the same to the byte.
+job runs, into buffers it shares with the caller (see :mod:`.ahead`); the
+blocks are the ones the job would draw, so the report is the same to the
+byte.
 
 The grid sup understates the continuous-time sup by O(dt^{1/2}); that bias
 is recorded in the report config, not corrected.
@@ -25,7 +26,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -101,7 +102,8 @@ class SweepConfig:
     do not depend on execution order.  `threads` (>= 1) never changes a
     number: the jobs run in order on the calling thread, and above 1, where
     a second CPU is usable, one helper process draws the next job's noise
-    while a job runs.
+    into shared buffers while a job runs; where it cannot start, or fails,
+    the jobs draw their own.
     """
 
     eps_grid: Tuple[float, ...]
@@ -217,12 +219,12 @@ def _run_jobs_ahead(
 
     ``plan(key)`` lists the normal_increments arguments of job ``key``'s
     draws, in the order the job makes them. With ``sweep.threads > 1``, a
-    second CPU this process may use and the ``fork`` start method, one
-    helper process (:mod:`.ahead`) draws the first job's blocks and then,
-    while each job runs, the next job's. The jobs still run through
-    `_run_jobs`, in order on the calling thread, and every block is the one
-    they would draw themselves. The helper is stopped before this returns or
-    raises.
+    second CPU this process may use and ``os.fork``, every job's plan goes to
+    one helper process (:mod:`.ahead`) at the start. It draws the first job's
+    blocks and then, while each job runs, the next job's, into buffers shared
+    with this process. The jobs still run through `_run_jobs`, in order on
+    the calling thread, and every block is the one they would draw
+    themselves. The helper is stopped before this returns or raises.
 
     ``threads`` is the number of CPUs the caller gives the sweep; the CPU
     count alone cannot tell, since other work may hold the other CPUs (two
@@ -232,19 +234,15 @@ def _run_jobs_ahead(
         return _run_jobs(sweep, job)
     from . import ahead  # imported here, so a one-thread run never loads it
 
-    helper = ahead.start()
+    helper = ahead.start([plan(key) for key in _job_keys(sweep)])
     if helper is None:
         return _run_jobs(sweep, job)
-    keys = _job_keys(sweep)
-    following = dict(zip(keys, keys[1:]))
 
     def run(key):
-        after = following.get(key)
-        helper.next_job(plan(after) if after is not None else ())
+        helper.next_job()
         return job(key)
 
     with helper:
-        helper.queue(plan(keys[0]))
         return _run_jobs(sweep, run)
 
 

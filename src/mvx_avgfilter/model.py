@@ -31,7 +31,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParams
+from .errors import InvalidParams
 from .measure import MeasureSummary, dirac_summary
 from .streams import stream
 
@@ -76,15 +76,6 @@ class ModelSpec:
     linear_params: Optional[LinearModelParams] = None
     # set only when h(x, mu) = h_linear_gain * x; unlocks the Kalman oracle
     h_linear_gain: Optional[float] = None
-
-
-@dataclass(frozen=True, eq=False)
-class CoefficientValues:
-    b1: np.ndarray
-    sigma1: np.ndarray
-    b2: np.ndarray
-    sigma2: np.ndarray
-    h: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -162,34 +153,6 @@ def make_linear_model(
         h=h,
         h_max=2.0 * math.sqrt(l),
         linear_params=params,
-    )
-
-
-def _check_vector(name: str, v: np.ndarray, dim: int) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (dim,):
-        raise DimensionMismatch(f"{name} must have shape ({dim},), got {v.shape}")
-    return v
-
-
-def eval_coefficients(
-    model: ModelSpec,
-    x: np.ndarray,
-    mu: MeasureSummary,
-    z: np.ndarray,
-    nu: MeasureSummary,
-) -> CoefficientValues:
-    """Single-point evaluation of all five coefficient maps, with shape checks."""
-    x = _check_vector("x", x, model.n)
-    z = _check_vector("z", z, model.m)
-    _check_vector("mean(mu)", mu.mean, model.n)
-    _check_vector("mean(nu)", nu.mean, model.m)
-    return CoefficientValues(
-        b1=np.asarray(model.b1(x, mu, z), dtype=np.float64),
-        sigma1=np.asarray(model.sigma1(x, mu), dtype=np.float64),
-        b2=np.asarray(model.b2(x, mu, z, nu), dtype=np.float64),
-        sigma2=np.asarray(model.sigma2(x, mu, z, nu), dtype=np.float64),
-        h=np.asarray(model.h(x, mu), dtype=np.float64),
     )
 
 

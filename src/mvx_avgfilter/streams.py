@@ -21,8 +21,9 @@ is the one ``stream(seed, label, particle, component)`` returns.
 
 A block is a pure function of its arguments, so it may come from elsewhere:
 during a sweep with more than one thread, a helper process draws the next
-job's blocks ahead (``ahead``) and ``normal_increments`` receives them; every
-other call draws here.
+job's blocks ahead (``ahead``), straight into buffers it shares with this
+process, and ``normal_increments`` returns views of them; every other call
+draws here.
 """
 
 from __future__ import annotations
@@ -238,12 +239,21 @@ def normal_increments(
 
 
 def _draw_block(
-    master_seed: int, label: str, steps: int, count: int, dims: int, scale: float
+    master_seed: int,
+    label: str,
+    steps: int,
+    count: int,
+    dims: int,
+    scale: float,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The block :func:`normal_increments` returns, drawn in this process;
-    ``scale`` must already be a float >= 0."""
+    ``scale`` must already be a float >= 0. Drawn into ``out``, a C-contiguous
+    (steps, count, dims) float64 array, when one is given."""
     total = count * dims
-    out = np.empty((steps, total), dtype=np.float64)
+    if out is None:
+        out = np.empty((steps, count, dims), dtype=np.float64)
+    flat = out.reshape(steps, total)
     words = _index_words(max(count, dims))
     rows = np.concatenate(
         [np.repeat(words[:count], dims, axis=0), np.tile(words[:dims], (count, 1))], axis=1
@@ -265,9 +275,9 @@ def _draw_block(
             inner["key"] = key
             bitgen.state = state
             gen.standard_normal(out=row)
-        out[:, r0 : r0 + len(part)] = part.T
+        flat[:, r0 : r0 + len(part)] = part.T
     # Generator.normal(0, scale) returns 0.0 + scale * z: the same bytes,
     # -0.0 included, as scaling once and then adding 0.0.
-    out *= scale
-    out += 0.0
-    return out.reshape(steps, count, dims)
+    flat *= scale
+    flat += 0.0
+    return out

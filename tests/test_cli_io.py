@@ -169,6 +169,32 @@ def test_validation_error_missing_section():
     assert "filter" in str(err.value)
 
 
+@pytest.mark.parametrize("particle", [-1, 20])
+def test_validation_error_reference_particle_outside_the_signal(particle):
+    filt = {"Nf": 60, "reference_particle": particle}
+    with pytest.raises(ValidationError, match=r"filter\.reference_particle .*\[0, sde\.N=20\)"):
+        parse_config(cfg_text(command="filter", filter=filt))
+    # the sweep observes particle 0 whatever the filter section says
+    sweep = {"eps_grid": [0.1, 0.05], "mc_reps": 4}
+    assert parse_config(cfg_text(command="sweep-filter", filter=filt, sweep=sweep))
+
+
+def test_main_refuses_a_reference_particle_outside_the_signal(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    filt = {"Nf": 60, "reference_particle": 20}
+    cfg_path.write_text(cfg_text(command="filter", filter=filt), encoding="utf-8")
+    code = main(["--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert "filter.reference_particle" in err["message"]
+    assert not (tmp_path / "o").exists()
+    cfg_path.write_text(
+        cfg_text(command="filter", filter=dict(filt, reference_particle=19)), encoding="utf-8"
+    )
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+
+
 def test_digest_sensitive_to_seed():
     a = parse_config(cfg_text())
     b = parse_config(cfg_text(sde={"seed": 12}))

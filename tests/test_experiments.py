@@ -8,15 +8,18 @@ fitter, and step-halving on a fully deterministic variant.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import multiprocessing
 import os
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from mvx_avgfilter import ahead, experiments, streams
+from mvx_avgfilter import ahead, experiments, filtering, streams
 from mvx_avgfilter.averaging import make_drift_oracle
 from mvx_avgfilter.errors import DegenerateFit, Instability, InvalidEpsilon, InvalidParams
 from mvx_avgfilter.experiments import (
@@ -313,24 +316,37 @@ def helpers(monkeypatch):
 
     The sweeps see two usable CPUs, so a helper starts on any host."""
     monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
-    record = {"helpers": [], "pids": [], "received": 0, "inline": 0}
+    record = {"helpers": [], "pids": [], "received": 0, "inline": 0, "inline_labels": []}
     start, call = ahead.start, ahead.DrawAhead.__call__
 
-    def recording_start():
-        helper = start()
+    def recording_start(plans):
+        helper = start(plans)
         if helper is not None:
             record["helpers"].append(helper)
-            record["pids"].append(helper._process.pid)
+            record["pids"].append(helper.pid)
         return helper
 
     def counting_call(self, args):
         block = call(self, args)
         record["received" if block is not None else "inline"] += 1
+        if block is None:
+            record["inline_labels"].append(args[1])
         return block
 
     monkeypatch.setattr(ahead, "start", recording_start)
     monkeypatch.setattr(ahead.DrawAhead, "__call__", counting_call)
     return record
+
+
+def wait_until_dead(pid, timeout=10.0):
+    """How helper ``pid`` ended, once it has; leaves reaping it to close()."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        ended = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG)
+        if ended is not None:
+            return ended
+        time.sleep(0.01)
+    raise AssertionError(f"helper {pid} still runs after {timeout} s")
 
 
 def assert_no_child_left(record):
@@ -397,13 +413,13 @@ def test_killed_helper_leaves_the_output_unchanged(helpers, monkeypatch):
     next_job = ahead.DrawAhead.next_job
     jobs = []
 
-    def killing_next_job(self, draws=()):
+    def killing_next_job(self):
         jobs.append(None)
-        if len(jobs) == 3:  # mid-run, with blocks planned and held
-            self._process.kill()
-            self._process.join(10.0)
-            assert not self._process.is_alive()
-        next_job(self, draws)
+        if len(jobs) == 3:  # mid-run, with blocks planned and drawn
+            os.kill(self.pid, signal.SIGKILL)
+            dead = wait_until_dead(self.pid)
+            assert dead.si_code == os.CLD_KILLED and dead.si_status == signal.SIGKILL
+        next_job(self)
 
     monkeypatch.setattr(ahead.DrawAhead, "next_job", killing_next_job)
     got = filter_error_sweep(model, oracle, "tanh", dataclasses.replace(sweep, threads=2))
@@ -415,7 +431,7 @@ def test_killed_helper_leaves_the_output_unchanged(helpers, monkeypatch):
 @pytest.mark.parametrize("missing", ["fork", "second CPU"])
 def test_threads_two_without_fork_runs_inline(helpers, monkeypatch, missing):
     if missing == "fork":
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
     else:
         monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
     model = ref_model()
@@ -430,8 +446,7 @@ def test_threads_two_without_fork_runs_inline(helpers, monkeypatch, missing):
 
 def test_helper_serves_only_planned_draws_to_its_own_thread():
     planned = (5, "signal-slow", 20, 30, 1, math.sqrt(0.01))
-    with ahead.start() as helper:
-        helper.queue([planned, planned])
+    with ahead.start([[planned, planned]]) as helper:
         helper.next_job()
         other = []
         worker = threading.Thread(target=lambda: other.append(helper(planned)))
@@ -447,6 +462,71 @@ def test_helper_serves_only_planned_draws_to_its_own_thread():
         assert first.shape == want.shape and first.flags.c_contiguous
     assert streams._drawn_ahead is None
     assert helper((5, "signal-slow", 20, 30, 1, 0.1)) is None  # closed: inline
+
+
+def test_helper_block_a_job_never_asks_for_is_left_behind(helpers):
+    base = ref_model()
+    # l = 1 plans a one-component observation block; h's two components make
+    # the job draw a two-component one instead, so the planned block is unused
+    model = dataclasses.replace(
+        base, h=lambda x, mu: np.concatenate([base.h(x, mu)] * 2, axis=-1)
+    )
+    oracle = make_drift_oracle(base, mode="analytic-linear")
+    sweep = filter_sweep_cfg()
+    want = filter_error_sweep(model, oracle, "tanh", sweep)
+    got = filter_error_sweep(model, oracle, "tanh", dataclasses.replace(sweep, threads=2))
+    assert rows_of(got) == rows_of(want)
+    jobs = len(_job_keys(sweep))
+    assert helpers["received"] == 4 * jobs  # signal slow and fast, filter slow and fast
+    assert helpers["inline_labels"] == [filtering.OBSERVATION_LABEL] * jobs
+    assert_no_child_left(helpers)
+
+
+def _open_fds_and_maps():
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        maps = fh.read().splitlines()
+    return sorted(os.listdir("/proc/self/fd")), maps
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_helper_leaves_no_pipe_or_mapping_open(helpers):
+    model = ref_model()
+    oracle = make_drift_oracle(model, mode="analytic-linear")
+    sweep = dataclasses.replace(filter_sweep_cfg(), threads=2)
+    filter_error_sweep(model, oracle, "tanh", sweep)  # loads and allocates what a run needs
+    gc.collect()
+    before = _open_fds_and_maps()
+    filter_error_sweep(model, oracle, "tanh", sweep)
+    gc.collect()
+    after = _open_fds_and_maps()
+    assert after[0] == before[0]
+    assert after[1] == before[1]
+    assert len(helpers["helpers"]) == 2
+    assert_no_child_left(helpers)
+
+
+def test_helper_done_before_the_last_job_still_serves_it(helpers, monkeypatch):
+    model = ref_model()
+    oracle = make_drift_oracle(model, mode="analytic-linear")
+    sweep = filter_sweep_cfg()
+    want = filter_error_sweep(model, oracle, "tanh", sweep)
+    next_job = ahead.DrawAhead.next_job
+    jobs = []
+
+    def next_job_after_the_helper_ends(self):
+        jobs.append(None)
+        if len(jobs) == len(_job_keys(sweep)):
+            # every block is drawn, so the helper exits before the last job starts
+            assert wait_until_dead(self.pid).si_code == os.CLD_EXITED
+        next_job(self)
+
+    monkeypatch.setattr(ahead.DrawAhead, "next_job", next_job_after_the_helper_ends)
+    got = filter_error_sweep(model, oracle, "tanh", dataclasses.replace(sweep, threads=2))
+    assert rows_of(got) == rows_of(want)
+    assert len(jobs) == len(_job_keys(sweep))
+    assert helpers["received"] == 5 * len(_job_keys(sweep))
+    assert helpers["inline"] == 0
+    assert_no_child_left(helpers)
 
 
 # ===== rate fit =====

@@ -16,14 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvx_avgfilter.errors import DimensionMismatch, InvalidParams
+from mvx_avgfilter.errors import InvalidParams
 from mvx_avgfilter.measure import MeasureSummary
-from mvx_avgfilter.model import (
-    LinearModelParams,
-    eval_coefficients,
-    make_linear_model,
-    probe_assumptions,
-)
+from mvx_avgfilter.model import LinearModelParams, make_linear_model, probe_assumptions
 
 
 def point_summary(mean):
@@ -66,23 +61,24 @@ def test_a13_zero_b1_ignores_z():
     assert np.array_equal(m.b1(x, mu, za), m.b1(x, mu, zb))
 
 
-# ===== eval_coefficients =====
+# ===== single-point evaluation of the five maps =====
 
 
 def test_eval_linear_example():
     params = LinearModelParams(a11=-1.0, a12=0.0, a13=1.0)
     m = make_linear_model(params, n=1, m=1, l=1, x0=[0.0], z0=[0.0])
-    vals = eval_coefficients(m, np.array([1.0]), point_summary([0.0]), np.array([2.0]), point_summary([0.0]))
-    assert vals.b1 == pytest.approx(np.array([1.0]))
+    assert m.b1(np.array([1.0]), point_summary([0.0]), np.array([2.0])) == pytest.approx(
+        np.array([1.0])
+    )
 
 
 def test_eval_zero_inputs():
     m = make_linear_model(REF, n=1, m=1, l=1, x0=[0.0], z0=[0.0])
     zero = point_summary([0.0])
-    vals = eval_coefficients(m, np.zeros(1), zero, np.zeros(1), zero)
-    assert vals.b1 == pytest.approx(np.zeros(1))
-    assert vals.b2 == pytest.approx(np.zeros(1))
-    assert vals.h == pytest.approx(np.zeros(1))
+    x = z = np.zeros(1)
+    assert m.b1(x, zero, z) == pytest.approx(np.zeros(1))
+    assert m.b2(x, zero, z, zero) == pytest.approx(np.zeros(1))
+    assert m.h(x, zero) == pytest.approx(np.zeros(1))
 
 
 def test_eval_formulas_random_inputs():
@@ -93,30 +89,28 @@ def test_eval_formulas_random_inputs():
     z = rng.normal(size=2)
     mu = point_summary(rng.normal(size=2))
     nu = point_summary(rng.normal(size=2))
-    vals = eval_coefficients(m, x, mu, z, nu)
-    assert vals.b1 == pytest.approx(p.a11 * x + p.a12 * mu.mean + p.a13 * z)
-    assert vals.b2 == pytest.approx(-p.gamma * z + p.c1 * x + p.c2 * mu.mean + p.c3 * nu.mean)
-    assert vals.sigma1 == pytest.approx(p.s1 * np.eye(2))
-    assert vals.sigma2 == pytest.approx(p.s2 * np.eye(2))
-    assert vals.h == pytest.approx(np.tanh(p.hscale * x) + np.tanh(p.hscale * mu.mean))
-
-
-def test_eval_dimension_mismatch():
-    m = make_linear_model(REF, n=1, m=1, l=1, x0=[0.0], z0=[0.0])
-    with pytest.raises(DimensionMismatch):
-        eval_coefficients(m, np.zeros(2), point_summary([0.0]), np.zeros(1), point_summary([0.0]))
-    with pytest.raises(DimensionMismatch):
-        eval_coefficients(m, np.zeros(1), point_summary([0.0, 0.0]), np.zeros(1), point_summary([0.0]))
+    assert m.b1(x, mu, z) == pytest.approx(p.a11 * x + p.a12 * mu.mean + p.a13 * z)
+    assert m.b2(x, mu, z, nu) == pytest.approx(
+        -p.gamma * z + p.c1 * x + p.c2 * mu.mean + p.c3 * nu.mean
+    )
+    assert m.sigma1(x, mu) == pytest.approx(p.s1 * np.eye(2))
+    assert m.sigma2(x, mu, z, nu) == pytest.approx(p.s2 * np.eye(2))
+    assert m.h(x, mu) == pytest.approx(np.tanh(p.hscale * x) + np.tanh(p.hscale * mu.mean))
 
 
 def test_eval_deterministic_bitwise():
     m = make_linear_model(REF, n=1, m=1, l=1, x0=[0.0], z0=[0.0])
     x, z = np.array([0.37]), np.array([-1.91])
     mu, nu = point_summary([0.11]), point_summary([0.23])
-    a = eval_coefficients(m, x, mu, z, nu)
-    b = eval_coefficients(m, x, mu, z, nu)
-    for name in ("b1", "sigma1", "b2", "sigma2", "h"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
+    calls = (
+        lambda: m.b1(x, mu, z),
+        lambda: m.sigma1(x, mu),
+        lambda: m.b2(x, mu, z, nu),
+        lambda: m.sigma2(x, mu, z, nu),
+        lambda: m.h(x, mu),
+    )
+    for call in calls:
+        assert np.array_equal(call(), call())
 
 
 # ===== h bound =====
