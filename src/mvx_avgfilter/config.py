@@ -340,6 +340,14 @@ def parse_config(text: str) -> RunConfig:
             f"filter.reference_particle must lie in [0, sde.N={sde.N}), "
             f"got {filt.reference_particle}",
         )
+    elif command == "sweep-filter":
+        # the sweep runs both filter arms on observations of particle 0
+        for key, fixed in (("kind", "multiscale"), ("reference_particle", 0)):
+            value = getattr(filt, key)
+            _require(
+                value == fixed,
+                f"filter.{key} is fixed by sweep-filter: leave it at {fixed!r}, got {value!r}",
+            )
 
     # the macro/micro step ratio must respect the fast contraction rate;
     # checked here so a bad config fails before any compute starts

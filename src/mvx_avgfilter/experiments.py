@@ -40,11 +40,11 @@ from .errors import (
     WeightCollapse,
 )
 from .filtering import (
+    FILTER_FAST_LABEL,
     FILTER_KINDS,
+    FILTER_SLOW_LABEL,
     FilterConfig,
-    _filter_fast_noise,
     _filter_slow_increments,
-    _filter_slow_noise,
     _observation_noise,
     filter_discrepancy,
     generate_observations,
@@ -52,6 +52,8 @@ from .filtering import (
 )
 from .model import ModelSpec
 from .sde import (
+    FAST_LABEL,
+    SLOW_LABEL,
     PathEnsemble,
     SdeConfig,
     _fast_noise,
@@ -200,8 +202,18 @@ def _job_keys(sweep: SweepConfig) -> List[Tuple[int, int]]:
 
 
 def _run_jobs(sweep: SweepConfig, job: Callable) -> Dict[Tuple[int, int], Dict[int, float]]:
-    """Run every job on the calling thread, in `_job_keys` order."""
-    return {k: job(k) for k in _job_keys(sweep)}
+    """Run every job on the calling thread, in `_job_keys` order. A job's
+    Instability or WeightCollapse is raised again naming its eps and rep."""
+    results = {}
+    for ie, rep in _job_keys(sweep):
+        where = f"eps={sweep.eps_grid[ie]:g} rep={rep}"
+        try:
+            results[ie, rep] = job((ie, rep))
+        except Instability as err:
+            raise Instability(f"{where}: {err}", step=err.step, time=err.time) from err
+        except WeightCollapse as err:
+            raise WeightCollapse(f"{where}: {err}") from err
+    return results
 
 
 def usable_cpus() -> int:
@@ -330,17 +342,13 @@ def averaging_error_sweep(model: ModelSpec, drift, sweep: SweepConfig) -> SweepR
 
     def plan(key):
         cfg = job_cfg(key)
-        return [_slow_noise(model, cfg), _fast_noise(model, cfg)]
+        return [
+            _slow_noise(model, cfg, SLOW_LABEL, cfg.N),
+            _fast_noise(model, cfg, FAST_LABEL, cfg.N),
+        ]
 
     def job(key):
-        ie, rep = key
-        eps = sweep.eps_grid[ie]
-        try:
-            slow_fast, averaged = coupled_pair(model, drift, job_cfg(key))
-        except Instability as err:
-            raise Instability(
-                f"eps={eps:g} rep={rep}: {err}", step=err.step, time=err.time
-            ) from err
+        slow_fast, averaged = coupled_pair(model, drift, job_cfg(key))
         worst = sup_path_error(slow_fast, averaged)
         return {p: float(np.mean(worst ** (2 * p))) for p in sweep.p_orders}
 
@@ -381,44 +389,26 @@ def filter_error_sweep(
     def plan(key):
         cfg = job_cfg(key)
         return [
-            _slow_noise(model, cfg),
-            _fast_noise(model, cfg),
+            _slow_noise(model, cfg, SLOW_LABEL, cfg.N),
+            _fast_noise(model, cfg, FAST_LABEL, cfg.N),
             _observation_noise(obs_seed(key), cfg.n_steps, model.l, cfg.dt_macro),
-            _filter_slow_noise(model, fcfg, cfg),
-        ] + [_filter_fast_noise(model, fcfg, cfg)] * arms.count("multiscale")
+            _slow_noise(model, cfg, FILTER_SLOW_LABEL, fcfg.Nf),
+        ] + [_fast_noise(model, cfg, FILTER_FAST_LABEL, fcfg.Nf)] * arms.count("multiscale")
 
     def job(key):
-        ie, rep = key
-        eps = sweep.eps_grid[ie]
         cfg = job_cfg(key)
-        try:
-            signal = simulate_slow_fast(model, cfg)
-            obs = generate_observations(
-                model,
-                signal,
-                reference_particle=0,
-                dt=cfg.dt_macro,
-                seed_v=obs_seed(key),
+        signal = simulate_slow_fast(model, cfg)
+        obs = generate_observations(
+            model, signal, reference_particle=0, dt=cfg.dt_macro, seed_v=obs_seed(key)
+        )
+        dw_slow = _filter_slow_increments(model, fcfg, cfg)
+        runs = [
+            run_filter(
+                arm, model, drift if arm == "averaged" else None, obs, fcfg, cfg,
+                _dw_slow=dw_slow,
             )
-            dw_slow = _filter_slow_increments(model, fcfg, cfg)
-            runs = [
-                run_filter(
-                    arm,
-                    model,
-                    drift if arm == "averaged" else None,
-                    obs,
-                    fcfg,
-                    cfg,
-                    _dw_slow=dw_slow,
-                )
-                for arm in arms
-            ]
-        except Instability as err:
-            raise Instability(
-                f"eps={eps:g} rep={rep}: {err}", step=err.step, time=err.time
-            ) from err
-        except WeightCollapse as err:
-            raise WeightCollapse(f"eps={eps:g} rep={rep}: {err}") from err
+            for arm in arms
+        ]
         return {
             p: float(filter_discrepancy(runs[0], runs[1], p).average)
             for p in sweep.p_orders

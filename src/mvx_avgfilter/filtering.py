@@ -7,6 +7,9 @@ per-time summaries when observations are generated; filter particles never
 feed back into it.  The filter weights realize the change of measure: each
 particle accumulates log-likelihood increments <h, dY> - |h|^2 dt / 2 and
 the normalized filter is the weighted mean of F (Kallianpur-Striebel).
+Filter particles take the signal's own discrete step: the multiscale arm
+calls the simulators' ``sde._macro_step``, the averaged arm one slow step
+under the averaged drift.
 
 rho_t(1) survives resampling through an accumulated log offset, so the
 unnormalized-mass proxy stays meaningful over long horizons.
@@ -34,7 +37,9 @@ from .sde import (
     PathEnsemble,
     SdeConfig,
     _check_finite,
-    _fast_step,
+    _fast_increments,
+    _macro_step,
+    _slow_noise,
     _slow_step,
     _tile_state,
     simulate_slow_fast,
@@ -177,6 +182,21 @@ def _observation_noise(seed_v: int, n_obs: int, l_obs: int, dt: float) -> tuple:
     return (seed_v, OBSERVATION_LABEL, n_obs, 1, l_obs, math.sqrt(dt))
 
 
+def _stride(dt: float, sim_dt: float, n_steps: int) -> int:
+    """Simulation steps per observation step of length dt: an integer that
+    divides the run's n_steps, else GridMismatch."""
+    ratio = dt / sim_dt
+    stride = int(round(ratio))
+    if stride < 1 or abs(ratio - stride) > 1e-6:
+        raise GridMismatch(
+            f"observation step {dt} is not an integer multiple of the "
+            f"simulation step {sim_dt}"
+        )
+    if n_steps % stride != 0:
+        raise GridMismatch(f"stride {stride} does not divide the {n_steps} simulation steps")
+    return stride
+
+
 def generate_observations(
     model: ModelSpec,
     signal: PathEnsemble,
@@ -197,18 +217,7 @@ def generate_observations(
             f"reference particle {reference_particle} outside [0, {n_particles})"
         )
     sim_dt = float(signal.times[1] - signal.times[0])
-    ratio = dt / sim_dt
-    stride = int(round(ratio))
-    if stride < 1 or abs(ratio - stride) > 1e-6:
-        raise GridMismatch(
-            f"observation step {dt} is not an integer multiple of the "
-            f"simulation step {sim_dt}"
-        )
-    if (len(signal.times) - 1) % stride != 0:
-        raise GridMismatch(
-            f"stride {stride} does not divide the {len(signal.times) - 1} simulation steps"
-        )
-
+    stride = _stride(dt, sim_dt, len(signal.times) - 1)
     times = signal.times[::stride]
     n_obs = len(times) - 1
     slow_trace = [_uniform_summary(points) for points in signal.slow[::stride]]
@@ -263,25 +272,9 @@ def _record_pi(logw: np.ndarray, f_vals: np.ndarray) -> tuple:
     return pi, ess
 
 
-def _filter_slow_noise(model: ModelSpec, cfg: FilterConfig, sde_cfg: SdeConfig) -> tuple:
-    """normal_increments arguments of the filter particles' slow block."""
-    return (
-        sde_cfg.seed, FILTER_SLOW_LABEL, sde_cfg.n_steps, cfg.Nf, model.n,
-        math.sqrt(sde_cfg.dt_macro),
-    )
-
-
 def _filter_slow_increments(model: ModelSpec, cfg: FilterConfig, sde_cfg: SdeConfig):
-    return normal_increments(*_filter_slow_noise(model, cfg, sde_cfg))
-
-
-def _filter_fast_noise(model: ModelSpec, cfg: FilterConfig, sde_cfg: SdeConfig) -> tuple:
-    """normal_increments arguments of the multiscale filter's fast block."""
-    ksub = sde_cfg.micro_substeps
-    return (
-        sde_cfg.seed, FILTER_FAST_LABEL, sde_cfg.n_steps * ksub, cfg.Nf, model.m,
-        math.sqrt(sde_cfg.dt_macro / ksub),
-    )
+    """The filter particles' slow block."""
+    return normal_increments(*_slow_noise(model, sde_cfg, FILTER_SLOW_LABEL, cfg.Nf))
 
 
 def run_filter(
@@ -335,11 +328,7 @@ def run_filter(
     dw_slow = _filter_slow_increments(model, cfg, sde_cfg) if _dw_slow is None else _dw_slow
     if multiscale:
         z = _tile_state(model.z0, nf)
-        ksub = sde_cfg.micro_substeps
-        dts = dt / ksub
-        h = dts / sde_cfg.epsilon
-        dw_fast = normal_increments(*_filter_fast_noise(model, cfg, sde_cfg))
-        inv_sqrt_eps = 1.0 / math.sqrt(sde_cfg.epsilon)
+        dws, h, noise_scale = _fast_increments(model, sde_cfg, FILTER_FAST_LABEL, nf)
     resample_rng = stream(sde_cfg.seed, "filter-resample")
 
     pi_arr = np.empty(n_steps + 1)
@@ -385,10 +374,7 @@ def run_filter(
 
         if multiscale:
             nu_k = obs.fast_law_trace[k]
-            x_next = _slow_step(model, x, mu_k, model.b1(x, mu_k, z), dw_slow[k], dt)
-            for dw in dw_fast[k * ksub : (k + 1) * ksub]:
-                z = _fast_step(model, x, mu_k, z, nu_k, dw, h, inv_sqrt_eps)
-            x = x_next
+            x, z = _macro_step(model, x, mu_k, z, nu_k, dw_slow[k], dt, dws[k], h, noise_scale)
         else:
             x = _slow_step(model, x, mu_k, drift(x, mu_k), dw_slow[k], dt)
         _check_finite(x, "filter particles", k + 1, times[k + 1])
@@ -438,14 +424,7 @@ def martingale_check(
         raise InvalidParams(f"need mc_runs >= 1000, got {mc_runs}")
     if chunk < 2:
         raise InvalidParams(f"need chunk >= 2 runs per ensemble, got {chunk}")
-    ratio = dt / sde_cfg.dt_macro
-    stride = int(round(ratio))
-    if stride < 1 or abs(ratio - stride) > 1e-6:
-        raise GridMismatch(
-            f"exponent step {dt} is not an integer multiple of dt_macro={sde_cfg.dt_macro}"
-        )
-    if sde_cfg.n_steps % stride != 0:
-        raise GridMismatch(f"stride {stride} does not divide {sde_cfg.n_steps} steps")
+    stride = _stride(dt, sde_cfg.dt_macro, sde_cfg.n_steps)
     n_obs = sde_cfg.n_steps // stride
 
     sizes = [chunk] * (mc_runs // chunk)

@@ -2,9 +2,13 @@
 
 Layout of a run: the slow coordinate advances on a macro grid of width
 ``dt_macro`` while the fast coordinate takes ``micro_substeps`` inner steps
-per macro step, with drift scaled by 1/epsilon and noise by 1/sqrt(epsilon).
-Both empirical laws are frozen at the start of each macro step; the slow
-update uses the macro-start fast state.
+per macro step, of length h = (dt_macro/micro_substeps)/epsilon on the fast
+clock, with noise scaled by 1/sqrt(epsilon).  Both empirical laws are frozen
+at the start of each macro step; the slow update uses the macro-start fast
+state.  This macro step (:func:`_macro_step`, with its substep loop
+:func:`_fast_substeps`) and the noise blocks it draws (:func:`_slow_noise`,
+:func:`_fast_noise`) are written once, for the simulators, the filter and
+the sweeps' draw plans.
 
 Noise is drawn from counter-based streams keyed by (seed, label, particle,
 component), so enlarging the ensemble or re-running with more threads never
@@ -277,6 +281,33 @@ def _check_finite(arr: np.ndarray, what: str, step: int, time: float) -> None:
         )
 
 
+def _checked_summary(points: np.ndarray, what: str, step: int, time: float) -> MeasureSummary:
+    """The summary of a state, which checks the state: a finite mean means
+    every point is finite. A non-finite mean may be a finite state whose sum
+    overflowed, so only then are the points checked."""
+    summary = summarize_points(points)
+    if not all(map(math.isfinite, summary.mean.tolist())):
+        _check_finite(points, what, step, time)
+    return summary
+
+
+def _fast_substeps(model: ModelSpec, x, mu, z, nu, dws, h: float, noise_scale: float):
+    """The fast state after one macro step's micro-substeps, one per row of
+    ``dws``, with the slow input and both laws held at the step's start."""
+    for dw in dws:
+        z = _fast_step(model, x, mu, z, nu, dw, h, noise_scale)
+    return z
+
+
+def _macro_step(model: ModelSpec, x, mu, z, nu, dw_slow, dt: float, dws, h: float,
+                noise_scale: float) -> tuple:
+    """One macro step of the slow-fast pair: the slow Euler step from the
+    step's start (b1 at the macro-start fast state), then the fast substeps.
+    Returns the next (x, z)."""
+    x_next = _slow_step(model, x, mu, model.b1(x, mu, z), dw_slow, dt)
+    return x_next, _fast_substeps(model, x, mu, z, nu, dws, h, noise_scale)
+
+
 def _tile_state(v: np.ndarray, count: int) -> np.ndarray:
     """One copy of the initial state per particle; refusing a non-finite one
     here lets the runs check only the states they compute."""
@@ -297,23 +328,30 @@ def _noise_tag(cfg: SdeConfig, labels: Sequence[str]) -> dict:
     }
 
 
-def _slow_noise(model: ModelSpec, cfg: SdeConfig) -> tuple:
-    """normal_increments arguments of a signal run's slow block."""
-    return (cfg.seed, SLOW_LABEL, cfg.n_steps, cfg.N, model.n, math.sqrt(cfg.dt_macro))
+def _slow_noise(model: ModelSpec, cfg: SdeConfig, label: str, count: int) -> tuple:
+    """normal_increments arguments of a slow block of ``count`` particles
+    under ``label``, one row per macro step."""
+    return (cfg.seed, label, cfg.n_steps, count, model.n, math.sqrt(cfg.dt_macro))
 
 
-def _fast_noise(model: ModelSpec, cfg: SdeConfig) -> tuple:
-    """normal_increments arguments of a signal run's fast block, one row per
-    micro-substep."""
+def _fast_noise(model: ModelSpec, cfg: SdeConfig, label: str, count: int) -> tuple:
+    """normal_increments arguments of a fast block of ``count`` particles
+    under ``label``, one row per micro-substep."""
     ksub = cfg.micro_substeps
     return (
-        cfg.seed, FAST_LABEL, cfg.n_steps * ksub, cfg.N, model.m,
+        cfg.seed, label, cfg.n_steps * ksub, count, model.m,
         math.sqrt(cfg.dt_macro / ksub),
     )
 
 
-def _finite_mean(summary: MeasureSummary) -> bool:
-    return all(map(math.isfinite, summary.mean.tolist()))
+def _fast_increments(model: ModelSpec, cfg: SdeConfig, label: str, count: int) -> tuple:
+    """(dws, h, noise_scale): the :func:`_fast_noise` block with macro step k's
+    substep rows in ``dws[k]``, h = (dt_macro/micro_substeps)/epsilon and
+    noise_scale = 1/sqrt(epsilon)."""
+    dw = normal_increments(*_fast_noise(model, cfg, label, count))
+    h = cfg.dt_macro / cfg.micro_substeps / cfg.epsilon
+    dws = dw.reshape(cfg.n_steps, cfg.micro_substeps, count, model.m)
+    return dws, h, 1.0 / math.sqrt(cfg.epsilon)
 
 
 def simulate_slow_fast(
@@ -331,16 +369,13 @@ def simulate_slow_fast(
     validate_stability(model, cfg)
     n_steps = cfg.n_steps
     dt = cfg.dt_macro
-    ksub = cfg.micro_substeps
-    dts = dt / ksub
-    h = dts / cfg.epsilon
     times = np.arange(n_steps + 1) * dt
 
     x = _tile_state(model.x0, cfg.N)
     z = _tile_state(model.z0, cfg.N)
-    dw_slow = normal_increments(*_slow_noise(model, cfg)) if _dw_slow is None else _dw_slow
-    dw_fast = normal_increments(*_fast_noise(model, cfg))
-    inv_sqrt_eps = 1.0 / math.sqrt(cfg.epsilon)
+    if _dw_slow is None:
+        _dw_slow = normal_increments(*_slow_noise(model, cfg, SLOW_LABEL, cfg.N))
+    dws, h, noise_scale = _fast_increments(model, cfg, FAST_LABEL, cfg.N)
 
     slow = np.empty((n_steps + 1,) + x.shape)
     fast = np.empty((n_steps + 1,) + z.shape)
@@ -348,16 +383,9 @@ def simulate_slow_fast(
     for k in range(n_steps):
         # The step's summaries check the state it starts from, as in
         # simulate_frozen; the last state has no next step and is checked plainly.
-        mu = summarize_points(x)
-        if not _finite_mean(mu):
-            _check_finite(x, "slow state", k, times[k])
-        nu = summarize_points(z)
-        if not _finite_mean(nu):
-            _check_finite(z, "fast state", k, times[k])
-        x_next = _slow_step(model, x, mu, model.b1(x, mu, z), dw_slow[k], dt)
-        for dw in dw_fast[k * ksub : (k + 1) * ksub]:
-            z = _fast_step(model, x, mu, z, nu, dw, h, inv_sqrt_eps)
-        x = x_next
+        mu = _checked_summary(x, "slow state", k, times[k])
+        nu = _checked_summary(z, "fast state", k, times[k])
+        x, z = _macro_step(model, x, mu, z, nu, _dw_slow[k], dt, dws[k], h, noise_scale)
         slow[k + 1], fast[k + 1] = x, z
     _check_finite(x, "slow state", n_steps, times[n_steps])
     _check_finite(z, "fast state", n_steps, times[n_steps])
@@ -405,12 +433,8 @@ def simulate_frozen(
     for k in range(n_steps):
         z = _fast_step(model, x_frozen, mu, z, nu, dw[k], dt, 1.0)
         if k + 1 < n_steps:
-            # The next step's summary checks the new state: a finite mean means
-            # every point is finite. A non-finite mean may be a finite state
-            # whose sum overflowed, so only then are the points checked.
-            nu = summarize_points(z)
-            if not _finite_mean(nu):
-                _check_finite(z, "frozen fast state", k + 1, times[k + 1])
+            # the next step's summary checks the new state
+            nu = _checked_summary(z, "frozen fast state", k + 1, times[k + 1])
         else:
             _check_finite(z, "frozen fast state", k + 1, times[k + 1])
         fast[k + 1] = z
@@ -442,15 +466,14 @@ def simulate_averaged(
     dt = cfg.dt_macro
     times = np.arange(n_steps + 1) * dt
     x = _tile_state(model.x0, cfg.N)
-    dw_slow = normal_increments(*_slow_noise(model, cfg)) if _dw_slow is None else _dw_slow
+    if _dw_slow is None:
+        _dw_slow = normal_increments(*_slow_noise(model, cfg, SLOW_LABEL, cfg.N))
 
     slow = np.empty((n_steps + 1,) + x.shape)
     slow[0] = x
     for k in range(n_steps):
-        mu = summarize_points(x)
-        if not _finite_mean(mu):
-            _check_finite(x, "averaged slow state", k, times[k])
-        x = _slow_step(model, x, mu, drift(x, mu), dw_slow[k], dt)
+        mu = _checked_summary(x, "averaged slow state", k, times[k])
+        x = _slow_step(model, x, mu, drift(x, mu), _dw_slow[k], dt)
         slow[k + 1] = x
     _check_finite(x, "averaged slow state", n_steps, times[n_steps])
     return PathEnsemble(times=times, slow=slow, noise_tag=_noise_tag(cfg, (SLOW_LABEL,)))
@@ -466,7 +489,7 @@ def coupled_pair(
     The slow block is drawn once and handed to both runs.
     """
 
-    dw_slow = normal_increments(*_slow_noise(model, cfg))
+    dw_slow = normal_increments(*_slow_noise(model, cfg, SLOW_LABEL, cfg.N))
     return (
         simulate_slow_fast(model, cfg, _dw_slow=dw_slow),
         simulate_averaged(model, drift, cfg, _dw_slow=dw_slow),
@@ -501,14 +524,9 @@ def simulate_auxiliary(model: ModelSpec, slow_path: PathEnsemble, cfg: SdeConfig
             f"{len(slow_path.times) - 1}"
         )
 
-    dt = cfg.dt_macro
-    ksub = cfg.micro_substeps
-    dts = dt / ksub
-    h = dts / cfg.epsilon
     times = slow_path.times
-    seg = max(1, int(round(cfg.delta_eps / dt)))
-    dw_fast = normal_increments(*_fast_noise(model, cfg))
-    inv_sqrt_eps = 1.0 / math.sqrt(cfg.epsilon)
+    seg = max(1, int(round(cfg.delta_eps / cfg.dt_macro)))
+    dws, h, noise_scale = _fast_increments(model, cfg, FAST_LABEL, cfg.N)
 
     what = "auxiliary fast state"
     aux = np.empty((n_steps + 1,) + slow_path.fast.shape[1:])
@@ -521,11 +539,8 @@ def simulate_auxiliary(model: ModelSpec, slow_path: PathEnsemble, cfg: SdeConfig
             zh = slow_path.fast[k]
             x_frozen = slow_path.slow[k]
             mu_frozen = summarize_points(x_frozen)
-        nu = summarize_points(zh)
-        if not _finite_mean(nu):
-            _check_finite(zh, what, k, times[k])
-        for dw in dw_fast[k * ksub : (k + 1) * ksub]:
-            zh = _fast_step(model, x_frozen, mu_frozen, zh, nu, dw, h, inv_sqrt_eps)
+        nu = _checked_summary(zh, what, k, times[k])
+        zh = _fast_substeps(model, x_frozen, mu_frozen, zh, nu, dws[k], h, noise_scale)
         aux[k + 1] = zh
     _check_finite(zh, what, n_steps, times[n_steps])
     return PathEnsemble(

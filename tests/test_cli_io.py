@@ -174,9 +174,24 @@ def test_validation_error_reference_particle_outside_the_signal(particle):
     filt = {"Nf": 60, "reference_particle": particle}
     with pytest.raises(ValidationError, match=r"filter\.reference_particle .*\[0, sde\.N=20\)"):
         parse_config(cfg_text(command="filter", filter=filt))
-    # the sweep observes particle 0 whatever the filter section says
+    # the sweep observes particle 0, so it refuses any other
     sweep = {"eps_grid": [0.1, 0.05], "mc_reps": 4}
-    assert parse_config(cfg_text(command="sweep-filter", filter=filt, sweep=sweep))
+    with pytest.raises(ValidationError, match=r"filter\.reference_particle .*got " + str(particle)):
+        parse_config(cfg_text(command="sweep-filter", filter=filt, sweep=sweep))
+
+
+def test_sweep_filter_refuses_a_filter_kind_and_keeps_the_defaults():
+    sweep = {"eps_grid": [0.1, 0.05], "mc_reps": 4}
+    filt = {"Nf": 60, "kind": "averaged"}
+    with pytest.raises(ValidationError, match=r"filter\.kind .*got 'averaged'"):
+        parse_config(cfg_text(command="sweep-filter", filter=filt, sweep=sweep))
+    # the defaults, spelled out or not, parse and round-trip
+    for filt in ({"Nf": 60}, {"Nf": 60, "kind": "multiscale", "reference_particle": 0}):
+        cfg = parse_config(cfg_text(command="sweep-filter", filter=filt, sweep=sweep))
+        assert parse_config(serialize_config(cfg)) == cfg
+    # the filter command still takes both keys
+    filt = {"Nf": 60, "kind": "averaged", "reference_particle": 7}
+    assert parse_config(cfg_text(command="filter", filter=filt)).filter.kind == "averaged"
 
 
 def test_main_refuses_a_reference_particle_outside_the_signal(tmp_path, capsys):

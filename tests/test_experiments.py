@@ -21,7 +21,13 @@ import pytest
 
 from mvx_avgfilter import ahead, experiments, filtering, streams
 from mvx_avgfilter.averaging import make_drift_oracle
-from mvx_avgfilter.errors import DegenerateFit, Instability, InvalidEpsilon, InvalidParams
+from mvx_avgfilter.errors import (
+    DegenerateFit,
+    Instability,
+    InvalidEpsilon,
+    InvalidParams,
+    WeightCollapse,
+)
 from mvx_avgfilter.experiments import (
     SweepConfig,
     SweepReport,
@@ -260,6 +266,21 @@ def filter_sweep_cfg(eps_grid=(0.1, 0.02), reps=4, Nf=80, T=0.3, N=60, seed=700)
         p_orders=(1,),
         filter_cfg=FilterConfig(Nf=Nf, resample_threshold=0.5, functional="tanh", p=1),
     )
+
+
+@pytest.mark.parametrize("error, push", [(Instability, np.inf), (WeightCollapse, 1e5)])
+def test_failing_filter_sweep_job_names_its_eps_and_rep(error, push):
+    # The averaged arm's drift throws its particles to infinity (a non-finite
+    # state) or past |x| = 100, where h is NaN and no weight stays finite.
+    base = ref_model()
+    model = dataclasses.replace(
+        base, h=lambda x, mu: np.where(np.abs(x) > 100.0, np.nan, base.h(x, mu))
+    )
+    drift = lambda x, mu: np.full_like(x, push)  # noqa: E731
+    with pytest.raises(error) as err:
+        filter_error_sweep(model, drift, "tanh", filter_sweep_cfg())
+    assert str(err.value).startswith("eps=0.1 rep=0: ")
+    assert isinstance(err.value.__cause__, error)
 
 
 def test_filter_sweep_identical_arms_are_exactly_equal():

@@ -284,6 +284,23 @@ def test_averaged_kind_runs():
     assert np.all(np.isfinite(traj.pi_F))
 
 
+@pytest.mark.parametrize(
+    "dt, message", [(0.015, "not an integer multiple"), (0.03, "stride 3 does not divide")]
+)
+@pytest.mark.parametrize("caller", ["generate_observations", "martingale_check"])
+def test_observation_stride_rule(caller, dt, message):
+    # 50 steps of 0.01: 0.015 is no multiple of the step, and 3 does not divide 50
+    model = ref_model()
+    cfg = signal_cfg(T=0.5, dt=0.01)
+    if caller == "generate_observations":
+        path = simulate_slow_fast(model, cfg)
+        call = lambda: generate_observations(model, path, 0, dt=dt, seed_v=0)  # noqa: E731
+    else:
+        call = lambda: martingale_check(model, 1000, cfg, dt=dt)  # noqa: E731
+    with pytest.raises(GridMismatch, match=message):
+        call()
+
+
 def test_grid_mismatch_between_obs_and_filter():
     model = ref_model()
     cfg = signal_cfg(T=0.5, dt=0.01)

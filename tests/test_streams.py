@@ -8,6 +8,7 @@ mixer.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -167,3 +168,17 @@ def test_filter_sweep_draws_the_filter_slow_block_once_per_job(monkeypatch):
     report = filter_error_sweep(model, drift, "tanh", sweep)
     assert calls.count(FILTER_SLOW_LABEL) == sweep.mc_reps
     assert all(math.isfinite(r.mean_error) for r in report.rows)
+
+
+# ===== stream layout =====
+
+
+def test_stream_layout_v1_fingerprint():
+    # The benchmark's stream_fingerprint, pinned to stream layout v1. Every
+    # number the package draws follows from this layout, so changing these
+    # bytes is a layout change: bump a recorded stream version and declare it
+    # in CHANGES.md (ROADMAP item 3) before updating this digest.
+    block = normal_increments(0, "layout-fingerprint", 4, 3, 2, 1.0)
+    assert hashlib.sha256(block.tobytes()).hexdigest() == (
+        "2c1083a94a94ad08722512f6e9e3e2d600b9e5921bae9a9ef60446b6c8ad2992"
+    )
