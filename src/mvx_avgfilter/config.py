@@ -348,6 +348,17 @@ def parse_config(text: str) -> RunConfig:
                 value == fixed,
                 f"filter.{key} is fixed by sweep-filter: leave it at {fixed!r}, got {value!r}",
             )
+        # and its sweep section decides the functional and the error orders
+        _require(
+            filt.functional == sweep.functional,
+            f"filter.functional is set by sweep.functional={sweep.functional!r} for "
+            f"sweep-filter, got {filt.functional!r}",
+        )
+        _require(
+            filt.p in sweep.p_orders,
+            f"filter.p must be one of sweep.p_orders={list(sweep.p_orders)} for "
+            f"sweep-filter, got {filt.p!r}",
+        )
 
     # the macro/micro step ratio must respect the fast contraction rate;
     # checked here so a bad config fails before any compute starts

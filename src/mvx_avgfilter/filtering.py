@@ -374,7 +374,9 @@ def run_filter(
 
         if multiscale:
             nu_k = obs.fast_law_trace[k]
-            x, z = _macro_step(model, x, mu_k, z, nu_k, dw_slow[k], dt, dws[k], h, noise_scale)
+            x, z = _macro_step(
+                model, x, mu_k, z, nu_k, dw_slow[k], dt, next(dws), h, noise_scale
+            )
         else:
             x = _slow_step(model, x, mu_k, drift(x, mu_k), dw_slow[k], dt)
         _check_finite(x, "filter particles", k + 1, times[k + 1])

@@ -12,11 +12,16 @@ the sweeps' draw plans.
 
 Noise is drawn from counter-based streams keyed by (seed, label, particle,
 component), so enlarging the ensemble or re-running with more threads never
-perturbs the increments of existing particles.
+perturbs the increments of existing particles.  A run holds its slow block
+whole, but takes its fast block (micro_substeps times longer) one macro step
+at a time, drawn in bounded chunks by the chunk rule of the ``streams``
+module docstring, so the fast noise it holds does not grow with the run
+length; the frozen run takes its block the same way, one step a group.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -27,7 +32,7 @@ import numpy as np
 from .errors import DimensionMismatch, GridMismatch, Instability, InvalidParams, MissingDelta
 from .measure import MeasureSummary, ParticleCloud, summarize_points
 from .model import ModelSpec
-from .streams import normal_increments
+from .streams import _increment_chunks, normal_increments
 
 STABILITY_CAP = 0.25
 
@@ -345,12 +350,15 @@ def _fast_noise(model: ModelSpec, cfg: SdeConfig, label: str, count: int) -> tup
 
 
 def _fast_increments(model: ModelSpec, cfg: SdeConfig, label: str, count: int) -> tuple:
-    """(dws, h, noise_scale): the :func:`_fast_noise` block with macro step k's
-    substep rows in ``dws[k]``, h = (dt_macro/micro_substeps)/epsilon and
-    noise_scale = 1/sqrt(epsilon)."""
-    dw = normal_increments(*_fast_noise(model, cfg, label, count))
-    h = cfg.dt_macro / cfg.micro_substeps / cfg.epsilon
-    dws = dw.reshape(cfg.n_steps, cfg.micro_substeps, count, model.m)
+    """(dws, h, noise_scale): ``dws`` iterates over the :func:`_fast_noise`
+    block one macro step at a time, each a (micro_substeps, count, m) view of
+    that step's substep rows, valid until the next step's is taken;
+    h = (dt_macro/micro_substeps)/epsilon and noise_scale = 1/sqrt(epsilon).
+    """
+    ksub = cfg.micro_substeps
+    chunks = _increment_chunks(*_fast_noise(model, cfg, label, count), ksub)
+    dws = itertools.chain.from_iterable(c.reshape(-1, ksub, count, model.m) for c in chunks)
+    h = cfg.dt_macro / ksub / cfg.epsilon
     return dws, h, 1.0 / math.sqrt(cfg.epsilon)
 
 
@@ -380,12 +388,12 @@ def simulate_slow_fast(
     slow = np.empty((n_steps + 1,) + x.shape)
     fast = np.empty((n_steps + 1,) + z.shape)
     slow[0], fast[0] = x, z
-    for k in range(n_steps):
+    for k, dw_fast in enumerate(dws):
         # The step's summaries check the state it starts from, as in
         # simulate_frozen; the last state has no next step and is checked plainly.
         mu = _checked_summary(x, "slow state", k, times[k])
         nu = _checked_summary(z, "fast state", k, times[k])
-        x, z = _macro_step(model, x, mu, z, nu, _dw_slow[k], dt, dws[k], h, noise_scale)
+        x, z = _macro_step(model, x, mu, z, nu, _dw_slow[k], dt, dw_fast, h, noise_scale)
         slow[k + 1], fast[k + 1] = x, z
     _check_finite(x, "slow state", n_steps, times[n_steps])
     _check_finite(z, "fast state", n_steps, times[n_steps])
@@ -425,13 +433,15 @@ def simulate_frozen(
     times = np.arange(n_steps + 1) * dt
     x_frozen = _tile_state(x, cfg.M)
     z = _tile_state(z0, cfg.M)
-    dw = normal_increments(cfg.seed, FROZEN_LABEL, n_steps, cfg.M, model.m, math.sqrt(dt))
+    dws = itertools.chain.from_iterable(
+        _increment_chunks(cfg.seed, FROZEN_LABEL, n_steps, cfg.M, model.m, math.sqrt(dt), 1)
+    )
 
     fast = np.empty((n_steps + 1,) + z.shape)
     fast[0] = z
     nu = summarize_points(z)
-    for k in range(n_steps):
-        z = _fast_step(model, x_frozen, mu, z, nu, dw[k], dt, 1.0)
+    for k, dw in enumerate(dws):
+        z = _fast_step(model, x_frozen, mu, z, nu, dw, dt, 1.0)
         if k + 1 < n_steps:
             # the next step's summary checks the new state
             nu = _checked_summary(z, "frozen fast state", k + 1, times[k + 1])
@@ -531,7 +541,7 @@ def simulate_auxiliary(model: ModelSpec, slow_path: PathEnsemble, cfg: SdeConfig
     what = "auxiliary fast state"
     aux = np.empty((n_steps + 1,) + slow_path.fast.shape[1:])
     aux[0] = slow_path.fast[0]
-    for k in range(n_steps):
+    for k, dw_fast in enumerate(dws):
         if k % seg == 0:
             if k:
                 # a restart replaces the computed state unsummarized
@@ -540,7 +550,7 @@ def simulate_auxiliary(model: ModelSpec, slow_path: PathEnsemble, cfg: SdeConfig
             x_frozen = slow_path.slow[k]
             mu_frozen = summarize_points(x_frozen)
         nu = _checked_summary(zh, what, k, times[k])
-        zh = _fast_substeps(model, x_frozen, mu_frozen, zh, nu, dws[k], h, noise_scale)
+        zh = _fast_substeps(model, x_frozen, mu_frozen, zh, nu, dw_fast, h, noise_scale)
         aux[k + 1] = zh
     _check_finite(zh, what, n_steps, times[n_steps])
     return PathEnsemble(

@@ -6,11 +6,14 @@ bit for bit, and row order is fixed by the data structures themselves.
 Identical inputs therefore produce byte-identical files.
 
 Particle paths stay float arrays until their text is built: a CSV table is
-one ``(rows, cols)`` array, and JSON payloads may hold float arrays, which
-are written exactly as ``json.dumps`` writes the equal nested lists.  Both
-are streamed in blocks of about :data:`CHUNK` rows or values, each block
-filled into a ``%`` template in one call, so memory while writing does not
-grow with the size of the table.
+one ``(rows, cols)`` array or, for the long-form path tables, a
+:class:`_LongRows` that builds its float blocks from the path arrays one at
+a time; JSON payloads may hold float arrays, which are written exactly as
+``json.dumps`` writes the equal nested lists.  Both are streamed in blocks
+of about :data:`CHUNK` rows or values, each block filled into a ``%``
+template in one call, so memory while writing does not grow with the size
+of the table: no long-form table is ever held whole.  The text of a row
+does not depend on the block it falls in, so neither do the file's bytes.
 """
 
 from __future__ import annotations
@@ -85,11 +88,14 @@ def write_csv(
 ) -> None:
     """Schema line, header, then one line per row.
 
-    ``rows`` is a float ``(rows, cols)`` array, printed as :func:`format_float`
-    prints each value, or an iterable of mixed-type rows.
+    ``rows`` is a float ``(rows, cols)`` array or the long-form rows of
+    :func:`ensemble_rows` or :func:`frozen_rows`, printed as
+    :func:`format_float` prints each value, or an iterable of mixed-type rows.
     """
     if isinstance(rows, np.ndarray):
         body = _csv_blocks(rows)
+    elif isinstance(rows, _LongRows):
+        body = itertools.chain.from_iterable(map(_csv_blocks, rows))
     else:
         body = (",".join(format_value(v) for v in row) + "\n" for row in rows)
     head = f"# {SCHEMA_VERSION} {command}\n" + ",".join(columns) + "\n"
@@ -189,28 +195,40 @@ def ensemble_columns(n: int, m: int, with_fast: bool) -> List[str]:
     return cols
 
 
-def _long_rows(times: np.ndarray, *paths) -> np.ndarray:
-    """(t, particle, components of each path) per time and particle, as floats;
-    a particle index below 2**53 prints as the integer does."""
-    paths = [p for p in paths if p is not None]
-    steps, count = paths[0].shape[:2]
-    t = np.repeat(np.asarray(times, dtype=float), count)
-    particle = np.tile(np.arange(count, dtype=float), steps)
-    return np.column_stack([t, particle] + [p.reshape(steps * count, -1) for p in paths])
+class _LongRows:
+    """Long-form rows (t, particle, components of each path) per time and
+    particle, in time-major order: iterating yields them as float blocks of
+    at most :data:`CHUNK` rows, each built from the path arrays when asked
+    for; ``len`` is the number of rows.  A particle index below 2**53 prints
+    as the integer does."""
+
+    def __init__(self, times: np.ndarray, *paths):
+        self.times = np.asarray(times, dtype=float)
+        self.paths = [p for p in paths if p is not None]
+
+    def __len__(self) -> int:
+        steps, count = self.paths[0].shape[:2]
+        return steps * count
+
+    def __iter__(self):
+        count = self.paths[0].shape[1]
+        for start in range(0, len(self), CHUNK):
+            k, i = np.divmod(np.arange(start, min(start + CHUNK, len(self))), count)
+            yield np.column_stack([self.times[k], i.astype(float)] + [p[k, i] for p in self.paths])
 
 
-def ensemble_rows(ensemble) -> np.ndarray:
+def ensemble_rows(ensemble) -> _LongRows:
     """Long-form rows (t, particle, slow comps[, fast comps])."""
-    return _long_rows(ensemble.times, ensemble.slow, ensemble.fast)
+    return _LongRows(ensemble.times, ensemble.slow, ensemble.fast)
 
 
 def ensemble_json(ensemble) -> dict:
     return {"times": ensemble.times, "slow": ensemble.slow, "fast": ensemble.fast}
 
 
-def frozen_rows(ensemble) -> np.ndarray:
+def frozen_rows(ensemble) -> _LongRows:
     """Fast-state rows only; the slow input is pinned and lives in the config."""
-    return _long_rows(ensemble.times, ensemble.fast)
+    return _LongRows(ensemble.times, ensemble.fast)
 
 
 def frozen_json(ensemble) -> dict:

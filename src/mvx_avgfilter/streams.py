@@ -24,6 +24,19 @@ during a sweep with more than one thread, a helper process draws the next
 job's blocks ahead (``ahead``), straight into buffers it shares with this
 process, and ``normal_increments`` returns views of them; every other call
 draws here.
+
+A long block need not be held whole. The simulators and the filter take
+their fast blocks (and the frozen run its block) through
+``_increment_chunks``, in chunks of whole groups of rows, a group being one
+macro step's rows. **The chunk rule:** a block of ``steps`` rows splits into
+``max(1, min(groups, steps // 512))`` chunks, as equal as the groups allow,
+so a chunk holds fewer than about 1024 draws per stream, or a single group
+when one group is larger than that. Its size depends on the number of
+streams but not on the run length. Between chunks each stream's Philox state
+is kept and resumed, so the chunks are byte for byte the slices of the
+whole block: the stream layout does not change. A block of one chunk is a
+plain ``normal_increments`` call, and a longer one that the helper has drawn
+ahead is sliced from the helper's whole block.
 """
 
 from __future__ import annotations
@@ -46,6 +59,17 @@ _U32 = (1 << 32) - 1
 # Streams per row block of normal_increments. Bounded, so the block buffer
 # stays small next to the result however many streams one call draws.
 _ROW_BLOCK = 256
+
+# A block splits into steps // _CHUNK_ROWS chunks at most (the chunk rule of
+# the module docstring).
+_CHUNK_ROWS = 512
+
+# One stream's Philox state while it waits between chunks: 77 bytes, where the
+# dict that ``bitgen.state`` returns takes about 900.
+_PHILOX_STATE = np.dtype([
+    ("counter", np.uint64, 4), ("buffer", np.uint64, 4), ("buffer_pos", np.int64),
+    ("has_uint32", np.int8), ("uinteger", np.uint32),
+])
 
 # numpy's SeedSequence hash mix (numpy/random/bit_generator.pyx). The pool
 # holds four uint32 words; the hash constant advances once per hashmix call,
@@ -211,6 +235,15 @@ def _index_words(n: int) -> np.ndarray:
 _drawn_ahead: Optional[Callable[[tuple], Optional[np.ndarray]]] = None
 
 
+def _checked_scale(scale) -> float:
+    """``scale`` as a float; a negative one (sign bit set, -0.0 included)
+    raises InvalidParams."""
+    scale = float(scale)
+    if math.copysign(1.0, scale) < 0.0 and not math.isnan(scale):
+        raise InvalidParams(f"noise scale must be >= 0, got {scale!r}")
+    return scale
+
+
 def normal_increments(
     master_seed: int,
     label: str,
@@ -227,15 +260,56 @@ def normal_increments(
     ``stream(master_seed, label, i, j).normal(0, scale, steps)`` byte for byte.
     A negative scale (sign bit set, -0.0 included) raises InvalidParams.
     """
-    scale = float(scale)
-    if math.copysign(1.0, scale) < 0.0 and not math.isnan(scale):
-        raise InvalidParams(f"noise scale must be >= 0, got {scale!r}")
+    scale = _checked_scale(scale)
     source = _drawn_ahead
     if source is not None:
         block = source((master_seed, label, steps, count, dims, scale))
         if block is not None:
             return block
     return _draw_block(master_seed, label, steps, count, dims, scale)
+
+
+def _chunk_bounds(steps: int, group: int) -> list:
+    """Row bounds of the chunks of a block of ``steps`` rows in groups of
+    ``group`` rows (the last group may be short), by the chunk rule of the
+    module docstring: ``[0, end of chunk 0, ..., steps]``."""
+    groups = -(-steps // group)
+    chunks = max(1, min(groups, steps // _CHUNK_ROWS))
+    size, extra = divmod(groups, chunks)
+    bounds = [0]
+    for c in range(chunks):
+        bounds.append(min(steps, bounds[-1] + (size + (c < extra)) * group))
+    return bounds
+
+
+def _increment_chunks(
+    master_seed: int,
+    label: str,
+    steps: int,
+    count: int,
+    dims: int,
+    scale: float,
+    group: int,
+):
+    """An iterator over the block ``normal_increments`` returns for the first
+    six arguments, as consecutive chunks of whole groups of ``group`` rows.
+
+    A block of one chunk is that ``normal_increments`` call, made here and
+    not at the first ``next``, so that a run allocates its noise before its
+    path arrays, which keeps its peak memory where it was. A longer one is sliced from the block drawn ahead when the helper has it,
+    and otherwise drawn a chunk at a time into one buffer: each chunk is a
+    view that the next one overwrites, so a caller uses its rows before
+    asking for more.
+    """
+    bounds = _chunk_bounds(steps, group)
+    if len(bounds) == 2:
+        return iter((normal_increments(master_seed, label, steps, count, dims, scale),))
+    scale = _checked_scale(scale)
+    source = _drawn_ahead
+    block = None if source is None else source((master_seed, label, steps, count, dims, scale))
+    if block is None:
+        return _draw_chunks(master_seed, label, count, dims, scale, bounds)
+    return (block[start:end] for start, end in zip(bounds, bounds[1:]))
 
 
 def _draw_block(
@@ -247,13 +321,38 @@ def _draw_block(
     scale: float,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """The block :func:`normal_increments` returns, drawn in this process;
-    ``scale`` must already be a float >= 0. Drawn into ``out``, a C-contiguous
-    (steps, count, dims) float64 array, when one is given."""
-    total = count * dims
+    """The block :func:`normal_increments` returns, drawn in this process as
+    one chunk; ``scale`` must already be a float >= 0. Drawn into ``out``, a
+    C-contiguous (steps, count, dims) float64 array, when one is given."""
     if out is None:
         out = np.empty((steps, count, dims), dtype=np.float64)
-    flat = out.reshape(steps, total)
+    (_,) = _draw_chunks(master_seed, label, count, dims, scale, [0, steps], out)
+    return out
+
+
+def _draw_chunks(
+    master_seed: int,
+    label: str,
+    count: int,
+    dims: int,
+    scale: float,
+    bounds: list,
+    out: Optional[np.ndarray] = None,
+):
+    """Draw the block whose chunks end at ``bounds[1:]`` chunk by chunk, into
+    ``out`` (C-contiguous float64 with ``count * dims`` values per row and
+    room for the longest chunk, allocated when not given), and yield each
+    chunk as a (rows, count, dims) view of it.
+
+    Each stream is drawn into one contiguous row of a bounded block of rows,
+    and the block's transpose is written into the chunk. Between chunks, each
+    stream's Philox state waits in one compact array, from which the stream
+    resumes exactly where it stopped.
+    """
+    total = count * dims
+    longest = max(end - start for start, end in zip(bounds, bounds[1:]))
+    if out is None:
+        out = np.empty((longest, count, dims), dtype=np.float64)
     words = _index_words(max(count, dims))
     rows = np.concatenate(
         [np.repeat(words[:count], dims, axis=0), np.tile(words[:dims], (count, 1))], axis=1
@@ -261,23 +360,43 @@ def _draw_block(
     keys = _philox_keys([int(master_seed) & _U64, *_label_words(label)], rows)
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
-    # A fresh Philox state: counter 0, empty buffer. Only the key changes.
-    # The setter reads the state word by word, which is cheaper from Python
-    # ints than from uint64 arrays.
+    # A fresh Philox state: counter 0, empty buffer. In the first chunk only
+    # the key changes. The setter reads the state word by word, which is
+    # cheaper from Python ints than from uint64 arrays.
     state = bitgen.state
     state["state"]["counter"] = state["state"]["counter"].tolist()
     state["buffer"] = state["buffer"].tolist()
     inner = state["state"]
-    block = np.empty((min(_ROW_BLOCK, total), steps), dtype=np.float64)
-    for r0 in range(0, total, _ROW_BLOCK):
-        part = block[: min(_ROW_BLOCK, total - r0)]
-        for key, row in zip(keys[r0 : r0 + len(part)].tolist(), part):
-            inner["key"] = key
-            bitgen.state = state
-            gen.standard_normal(out=row)
-        flat[:, r0 : r0 + len(part)] = part.T
-    # Generator.normal(0, scale) returns 0.0 + scale * z: the same bytes,
-    # -0.0 included, as scaling once and then adding 0.0.
-    flat *= scale
-    flat += 0.0
-    return out
+    waiting = np.empty(total if len(bounds) > 2 else 0, dtype=_PHILOX_STATE)
+    block = np.empty((min(_ROW_BLOCK, total), longest), dtype=np.float64)
+    last = len(bounds) - 2
+    for c, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        chunk = out[: end - start]
+        flat = chunk.reshape(end - start, total)
+        for r0 in range(0, total, _ROW_BLOCK):
+            r1 = min(r0 + _ROW_BLOCK, total)
+            part = block[: r1 - r0, : end - start]
+            if c:
+                resume = zip(*(waiting[name][r0:r1].tolist() for name in _PHILOX_STATE.names))
+            kept = []
+            for key, row in zip(keys[r0:r1].tolist(), part):
+                inner["key"] = key
+                if c:
+                    (inner["counter"], state["buffer"], state["buffer_pos"],
+                     state["has_uint32"], state["uinteger"]) = next(resume)
+                bitgen.state = state
+                gen.standard_normal(out=row)
+                if c < last:
+                    kept.append(bitgen.state)
+            if kept:
+                waiting[r0:r1] = [
+                    (k["state"]["counter"], k["buffer"], k["buffer_pos"], k["has_uint32"],
+                     k["uinteger"])
+                    for k in kept
+                ]
+            flat[:, r0:r1] = part.T
+        # Generator.normal(0, scale) returns 0.0 + scale * z: the same bytes,
+        # -0.0 included, as scaling once and then adding 0.0.
+        flat *= scale
+        flat += 0.0
+        yield chunk

@@ -194,6 +194,33 @@ def test_sweep_filter_refuses_a_filter_kind_and_keeps_the_defaults():
     assert parse_config(cfg_text(command="filter", filter=filt)).filter.kind == "averaged"
 
 
+@pytest.mark.parametrize(
+    "filt,message",
+    [
+        ({"functional": "identity"}, r"filter\.functional .*sweep\.functional='tanh'.*got 'identity'"),
+        ({"p": 3}, r"filter\.p .*sweep\.p_orders=\[1, 2\].*got 3"),
+        ({"functional": "identity", "p": 2}, r"filter\.functional"),
+    ],
+)
+def test_sweep_filter_refuses_a_functional_or_order_its_sweep_does_not_use(filt, message):
+    sweep = {"eps_grid": [0.1, 0.05], "mc_reps": 4, "p_orders": [1, 2]}
+    with pytest.raises(ValidationError, match=message):
+        parse_config(cfg_text(command="sweep-filter", filter=dict(filt, Nf=60), sweep=sweep))
+    # the filter command still takes them
+    cfg = parse_config(cfg_text(command="filter", filter=dict(filt, Nf=60)))
+    assert cfg.filter.functional == filt.get("functional", "tanh")
+
+
+def test_sweep_filter_takes_a_functional_and_order_its_sweep_uses():
+    sweep = {"eps_grid": [0.1, 0.05], "mc_reps": 4, "p_orders": [1, 2], "functional": "identity"}
+    for filt in ({"functional": "identity"}, {"functional": "identity", "p": 2}):
+        cfg = parse_config(cfg_text(command="sweep-filter", filter=dict(filt, Nf=60), sweep=sweep))
+        assert parse_config(serialize_config(cfg)) == cfg
+    # the configs every sweep-filter example uses: tanh, p 1 and p_orders [1]
+    for sections in (SWEEP_CONFIGS["sweep-filter"], TINY_RUNS["sweep-filter"]):
+        parse_config(cfg_text(command="sweep-filter", **sections))
+
+
 def test_main_refuses_a_reference_particle_outside_the_signal(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     filt = {"Nf": 60, "reference_particle": 20}

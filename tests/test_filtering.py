@@ -9,6 +9,7 @@ and closed-form Riccati fixed points.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -505,3 +506,24 @@ def test_discrepancy_grid_mismatch():
     b = synthetic_traj(np.linspace(0, 2, 5), np.zeros(5))
     with pytest.raises(GridMismatch):
         filter_discrepancy(a, b, p=1)
+
+
+# ===== memory =====
+
+
+def test_multiscale_filter_memory_does_not_grow_with_run_length():
+    # The fast block is taken a chunk at a time; whole, it is 6.4 MB at T=2
+    # and 12.8 MB at T=4, which doubled the peak.
+    model = ref_model()
+    peaks = []
+    for T in (2.0, 4.0):
+        cfg = SdeConfig(epsilon=0.01, T=T, dt_macro=0.01, micro_substeps=8, N=20, seed=5)
+        obs = generate_observations(model, simulate_slow_fast(model, cfg), 0, cfg.dt_macro, 6)
+        fcfg = FilterConfig(Nf=500, resample_threshold=0.5, functional="tanh")
+        tracemalloc.start()
+        try:
+            run_filter("multiscale", model, None, obs, fcfg, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks

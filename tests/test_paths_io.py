@@ -324,7 +324,10 @@ def test_ensemble_rows_match_mixed_type_rows(tmp_path):
             legacy.append([float(t), i] + path.slow[k, i].tolist() + path.fast[k, i].tolist())
     cols = ["t", "particle", "x0", "x1", "z0", "z1"]
     rows = ensemble_rows(path)
-    assert rows.shape == (len(legacy), 6)
+    blocks = list(rows)
+    assert all(len(b) <= CHUNK for b in blocks)
+    assert len(rows) == len(legacy)
+    assert np.concatenate(blocks).shape == (len(legacy), 6)
     write_csv(str(tmp_path / "a.csv"), "simulate", cols, rows)
     write_csv(str(tmp_path / "b.csv"), "simulate", cols, legacy)
     got = read_csv(tmp_path / "a.csv").splitlines()
@@ -337,7 +340,7 @@ def test_ensemble_rows_match_mixed_type_rows(tmp_path):
 
 def test_frozen_rows_cover_every_time_and_particle():
     path = all_paths()["frozen"]
-    rows = frozen_rows(path)
+    rows = np.concatenate(list(frozen_rows(path)))
     steps, count = path.fast.shape[:2]
     assert rows.shape == (steps * count, 2 + path.fast.shape[2])
     assert np.array_equal(rows[:, 1], np.tile(np.arange(count), steps))
@@ -534,4 +537,27 @@ def test_writer_memory_does_not_grow_with_rows(tmp_path, kind):
         else:
             payload = {"t": table[:, 1], "x": table[:, 2].reshape(count // 1000, 1000, 1)}
             peaks.append(writer_peak(write_json, path, payload))
+    assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+@pytest.mark.parametrize(
+    "rows,cols",
+    [(ensemble_rows, ["t", "particle", "x0", "x1", "z0", "z1"]),
+     (frozen_rows, ["t", "particle", "z0", "z1"])],
+)
+def test_long_form_rows_are_written_in_bounded_memory(tmp_path, rows, cols):
+    # the long-form table is built a block at a time, never whole
+    rng = np.random.default_rng(3)
+    peaks = []
+    for steps in (40, 80):
+        slow, fast = rng.standard_normal((2, steps + 1, 1000, 2))
+        path = PathEnsemble(times=np.arange(steps + 1) * 0.01, slow=slow, fast=fast)
+        target = tmp_path / f"{steps}.csv"
+
+        def write():
+            write_csv(str(target), "simulate", cols, rows(path))
+
+        peaks.append(writer_peak(write))
+        with open(target, encoding="utf-8") as fh:
+            assert sum(1 for _ in fh) == 2 + (steps + 1) * 1000
     assert peaks[1] < 1.25 * peaks[0], peaks

@@ -18,7 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from mvx_avgfilter import sde
+from mvx_avgfilter import sde, streams
 from mvx_avgfilter.errors import (
     DimensionMismatch,
     GridMismatch,
@@ -960,3 +960,35 @@ def test_step_kernels_reproduce_the_hand_written_loops(name):
         assert np.array_equal(traj.pi_F, pi)
         assert np.array_equal(traj.ess, ess)
         assert np.array_equal(traj.log_rho1, rho)
+
+
+@pytest.mark.parametrize("name", ["linear-2", "mixed-1-2-2"])
+def test_runs_whose_fast_blocks_span_several_chunks_reproduce_the_loops(name):
+    # More than 1024 draws per stream: the runs take their fast blocks (and
+    # the frozen run its block) in chunks, the references draw them whole.
+    model = KERNEL_MODELS[name]()
+    cfg = SdeConfig(
+        epsilon=0.1, T=1.3, dt_macro=0.01, micro_substeps=8, N=6, seed=4, delta_eps=0.05
+    )
+    frozen_cfg = FrozenRunConfig(M=5, dt=0.01, burn_in=4.0, avg_window=6.3, seed=2)
+    assert len(streams._chunk_bounds(cfg.n_steps * 8, 8)) - 1 == 2
+    assert len(streams._chunk_bounds(frozen_cfg.n_steps, 1)) - 1 == 2
+
+    path = simulate_slow_fast(model, cfg)
+    ref_slow, ref_fast = _reference_slow_fast(model, cfg)
+    assert np.array_equal(path.slow, ref_slow) and np.array_equal(path.fast, ref_fast)
+    aux = simulate_auxiliary(model, path, cfg)
+    assert np.array_equal(aux.aux, _reference_auxiliary(model, path, cfg))
+    x = np.full(model.n, 0.3)
+    mu = summarize_points(path.slow[-1])
+    frozen = simulate_frozen(model, x, mu, frozen_cfg)
+    assert np.array_equal(frozen.fast, _reference_frozen(model, x, mu, frozen_cfg))
+
+    obs = generate_observations(model, path, 0, cfg.dt_macro, 7)
+    fcfg = FilterConfig(Nf=10, resample_threshold=1.0, functional="tanh")
+    traj = run_filter("multiscale", model, None, obs, fcfg, cfg)
+    pi, ess, rho = _reference_filter("multiscale", model, None, obs, fcfg, cfg)
+    assert traj.resample_events
+    assert np.array_equal(traj.pi_F, pi)
+    assert np.array_equal(traj.ess, ess)
+    assert np.array_equal(traj.log_rho1, rho)

@@ -62,6 +62,90 @@ def test_normal_increments_empty_block():
     assert normal_increments(3, "frozen", 0, 4, 1, 1.0).shape == (0, 4, 1)
 
 
+# ===== blocks in chunks of macro steps =====
+
+
+def chunked(seed, label, steps, count, dims, scale, group):
+    """Every chunk the drawer yields, copied before the next one is drawn."""
+    return [c.copy() for c in streams._increment_chunks(seed, label, steps, count, dims, scale, group)]
+
+
+def expected_chunks(steps, group):
+    """The chunk rule, written out: max(1, min(groups, steps // 512)) chunks
+    of whole groups, the first groups % chunks of them one group longer."""
+    groups = -(-steps // group)
+    n = max(1, min(groups, steps // 512))
+    sizes = [(groups // n + (c < groups % n)) * group for c in range(n)]
+    sizes[-1] -= sum(sizes) - steps  # a short last group
+    return sizes
+
+
+@pytest.mark.parametrize("steps", [511, 512, 1023, 1024, 1025, 1537, 4096])
+@pytest.mark.parametrize("group", [1, 3, 8, 600])
+@pytest.mark.parametrize("dims", [1, 2])
+def test_chunks_are_byte_equal_to_the_whole_block(steps, group, dims):
+    got = chunked(11, "signal-fast", steps, 5, dims, 0.37, group)
+    assert [len(c) for c in got] == expected_chunks(steps, group)
+    whole = normal_increments(11, "signal-fast", steps, 5, dims, 0.37)
+    assert np.concatenate(got).tobytes() == whole.tobytes()
+    # fewer than about 1024 draws per stream: 1024 rows, rounded up to a group
+    assert max(len(c) for c in got) < 1024 + group
+
+
+def test_chunks_cross_the_row_block_edge():
+    count = streams._ROW_BLOCK + 3
+    got = chunked(2, "filter-fast", 1100, count, 2, 0.1, 4)
+    assert len(got) == 2
+    whole = normal_increments(2, "filter-fast", 1100, count, 2, 0.1)
+    assert np.concatenate(got).tobytes() == whole.tobytes()
+
+
+def test_chunks_reuse_one_buffer():
+    views = list(streams._increment_chunks(4, "frozen", 2000, 6, 1, 1.0, 1))
+    assert len(views) == 3
+    assert all(np.shares_memory(views[0], v) for v in views[1:])
+
+
+def test_a_one_chunk_block_is_a_normal_increments_call(monkeypatch):
+    calls = []
+    counting(monkeypatch, streams, calls)
+    for steps, group in ((1023, 8), (600, 600), (0, 1)):
+        (chunk,) = streams._increment_chunks(3, "signal-fast", steps, 4, 1, 0.5, group)
+        assert chunk.tobytes() == normal_increments(3, "signal-fast", steps, 4, 1, 0.5).tobytes()
+    assert calls == ["signal-fast"] * 3
+    calls.clear()
+    assert len(chunked(3, "signal-fast", 1024, 4, 1, 0.5, 8)) == 2
+    assert calls == []
+
+
+def test_chunks_refuse_a_negative_scale():
+    with pytest.raises(InvalidParams, match="scale"):
+        chunked(3, "frozen", 2048, 2, 1, -0.0, 1)
+
+
+def test_a_block_drawn_ahead_is_sliced_into_the_same_chunks(monkeypatch):
+    args = (8, "filter-fast", 1600, 7, 2, 0.2)
+    whole = normal_increments(*args)
+    inline = chunked(*args, 8)
+    asked = []
+
+    def source(key):
+        asked.append(key)
+        return whole if key == args else None
+
+    monkeypatch.setattr(streams, "_drawn_ahead", source)
+    views = list(streams._increment_chunks(*args, 8))
+    assert asked == [args]
+    assert [len(v) for v in views] == [len(c) for c in inline] == [536, 536, 528]
+    assert all(np.shares_memory(v, whole) for v in views)
+    assert all(v.tobytes() == c.tobytes() for v, c in zip(views, inline))
+    # a block the source does not have is drawn here, a chunk at a time
+    other = chunked(9, "filter-fast", 1600, 7, 2, 0.2, 8)
+    assert asked[-1] == (9, "filter-fast", 1600, 7, 2, 0.2)
+    want = streams._draw_block(9, "filter-fast", 1600, 7, 2, 0.2)
+    assert np.concatenate(other).tobytes() == want.tobytes()
+
+
 # ===== vectorised key mixer against numpy's SeedSequence =====
 
 
