@@ -1,11 +1,13 @@
 """Run configuration: a JSON document mapped onto typed sections.
 
-parse_config is strict both ways: unknown or mistyped keys raise ParseError
-with the offending key (and the line for malformed JSON), while well-formed
-documents that break a numeric invariant raise ValidationError naming that
-invariant.  serialize_config inverts parse_config exactly, so
-parse_config(serialize_config(cfg)) == cfg and the digest of a config is
-stable across reruns and machines.
+Each section key is declared once, in the ``_SECTIONS`` table (its JSON kind
+and default; README §Command line lists it), which both parse_config and
+serialize_config walk.  parse_config is strict both ways: unknown or mistyped
+keys raise ParseError with the offending key (and the line for malformed
+JSON), while well-formed documents that break a numeric invariant raise
+ValidationError naming that invariant.  serialize_config inverts parse_config
+exactly, so parse_config(serialize_config(cfg)) == cfg and the digest of a
+config is stable across reruns and machines.
 """
 
 from __future__ import annotations
@@ -22,18 +24,7 @@ from .filtering import FILTER_KINDS, FilterConfig, get_functional
 from .model import LinearModelParams, ModelSpec, make_linear_model, validate_probe
 from .sde import FrozenRunConfig, SdeConfig, validate_stability
 
-COMMANDS = (
-    "simulate",
-    "frozen",
-    "bbar",
-    "filter",
-    "sweep-averaging",
-    "sweep-filter",
-    "probe",
-)
-FORMATS = ("csv", "json", "both")
-
-# sections each command cannot run without
+# each command, with the sections it cannot run without
 _REQUIRED_SECTIONS = {
     "simulate": ("sde",),
     "frozen": ("frozen",),
@@ -43,6 +34,8 @@ _REQUIRED_SECTIONS = {
     "sweep-filter": ("sde", "sweep", "filter"),
     "probe": (),
 }
+COMMANDS = tuple(_REQUIRED_SECTIONS)
+FORMATS = ("csv", "json", "both")
 
 
 @dataclass(frozen=True)
@@ -121,80 +114,176 @@ def _require(cond: bool, msg: str):
         raise ValidationError(msg)
 
 
-def _section(doc: dict, name: str, allowed: dict):
-    """Pull a sub-object, rejecting unknown keys and wrong basic types."""
-    raw = doc.get(name)
-    if raw is None:
-        return None
+# ----- JSON kinds: a reader takes a JSON value and its dotted key -----
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _scalar(accepts, convert=lambda value: value):
+    def read(value, key: str):
+        if not accepts(value):
+            raise ParseError(f"key '{key}' has the wrong type")
+        return convert(value)
+    return read
+
+
+def _vector(accepts, convert, noun: str, length: Optional[int] = None):
+    def read(value, key: str) -> tuple:
+        if not isinstance(value, list):
+            raise ParseError(f"key '{key}' has the wrong type")
+        if length is not None and len(value) != length:
+            raise ParseError(f"key '{key}' must be a [lo, hi] pair")
+        if not all(map(accepts, value)):
+            raise ParseError(f"key '{key}' must hold {noun}")
+        return tuple(map(convert, value))
+    return read
+
+
+_number = _scalar(_is_number, float)
+_integer = _scalar(_is_integer)
+_string = _scalar(lambda v: isinstance(v, str))
+_numbers = _vector(_is_number, float, "numbers")
+_integers = _vector(_is_integer, int, "integers")
+_pair = _vector(_is_number, float, "numbers", length=2)
+
+
+def _number_or_null(value, key: str) -> Optional[float]:
+    return None if value is None else _number(value, key)
+
+
+def _params(value, key: str) -> LinearModelParams:
+    if not isinstance(value, dict):
+        raise ParseError(f"key '{key}' has the wrong type")
+    names = {f.name for f in dataclasses.fields(LinearModelParams)}
+    for name, number in value.items():
+        if name not in names:
+            raise ParseError(f"unknown key '{key}.{name}'")
+        if not _is_number(number):
+            raise ParseError(f"key '{key}.{name}' must be a number")
+    return LinearModelParams(**{name: float(number) for name, number in value.items()})
+
+
+# ----- sections: each value handed to the section's dataclass, then checked -----
+
+
+def _model(values: dict) -> ModelConfig:
+    kind = values.pop("kind")
+    if kind != "linear":
+        raise InvalidParams(f"model.kind must be 'linear', got '{kind}'")
+    cfg = ModelConfig(**values)
+    cfg.build()
+    return cfg
+
+
+def _frozen(values: dict) -> FrozenSection:
+    return FrozenSection(x=values.pop("x"), mu_mean=values.pop("mu_mean"),
+                         run=FrozenRunConfig(**values))
+
+
+def _filter(values: dict) -> FilterSection:
+    section = FilterSection(**values)
+    if section.kind not in FILTER_KINDS:
+        raise InvalidParams(
+            f"filter.kind must be one of {', '.join(FILTER_KINDS)}, got '{section.kind}'"
+        )
+    section.filter_config()
+    get_functional(section.functional)
+    return section
+
+
+def _sweep(values: dict) -> SweepSection:
+    section = SweepSection(**values)
+    validate_sweep_grid(section.eps_grid, section.mc_reps, section.p_orders)
+    get_functional(section.functional)
+    return section
+
+
+def _probe(values: dict) -> ProbeSection:
+    section = ProbeSection(**values)
+    try:
+        validate_probe(section.sample_count, section.domain_box, section.p)
+    except InvalidParams as err:
+        raise InvalidParams(f"probe.{err}") from err
+    return section
+
+
+# section -> (builder, {key: (kind, default)}), in reading order.  A default of
+# ... marks a required key; a callable default takes the model's widths (those
+# read so far, or model.n for frozen).
+_SECTIONS = {
+    "model": (_model, {
+        "kind": (_string, "linear"),
+        "params": (_params, LinearModelParams()),
+        "n": (_integer, 1),
+        "m": (_integer, lambda widths: widths["n"]),
+        "l": (_integer, lambda widths: widths["n"]),
+        "x0": (_numbers, lambda widths: (1.0,) * widths["n"]),
+        "z0": (_numbers, lambda widths: (1.0,) * widths["m"]),
+    }),
+    "sde": (lambda values: SdeConfig(**values), {
+        "epsilon": (_number, 0.1),
+        "T": (_number, 1.0),
+        "dt_macro": (_number, 0.01),
+        "micro_substeps": (_integer, 1),
+        "N": (_integer, 100),
+        "seed": (_integer, 0),
+        "delta_eps": (_number_or_null, None),
+    }),
+    "frozen": (_frozen, {
+        "M": (_integer, 1000),
+        "dt": (_number, 0.01),
+        "burn_in": (_number, 1.0),
+        "avg_window": (_number, 1.0),
+        "seed": (_integer, 0),
+        "x": (_numbers, lambda widths: (1.0,) * widths["n"]),
+        "mu_mean": (_numbers, lambda widths: (1.0,) * widths["n"]),
+    }),
+    "filter": (_filter, {
+        "Nf": (_integer, 1000),
+        "resample_threshold": (_number, 0.5),
+        "functional": (_string, "tanh"),
+        "p": (_integer, 1),
+        "kind": (_string, "multiscale"),
+        "reference_particle": (_integer, 0),
+    }),
+    "sweep": (_sweep, {
+        "eps_grid": (_numbers, ...),
+        "mc_reps": (_integer, ...),
+        "p_orders": (_integers, (1, 2)),
+        "functional": (_string, "tanh"),
+    }),
+    "probe": (_probe, {
+        "sample_count": (_integer, 2000),
+        "domain_box": (_pair, (-2.0, 2.0)),
+        "p": (_integer, 1),
+    }),
+}
+_TOP_KEYS = ("command", "output_dir", "seed", "format", *_SECTIONS)
+
+
+def _read_section(name: str, raw, widths: dict):
+    """Check one section's object against its table, fill defaults, build it."""
+    build, fields = _SECTIONS[name]
     if not isinstance(raw, dict):
         raise ParseError(f"key '{name}' must be an object")
     for key in raw:
-        if key not in allowed:
-            raise ParseError(f"unknown key '{name}.{key}'")
-    out = {}
-    for key, kinds in allowed.items():
-        if key not in raw:
-            continue
-        val = raw[key]
-        if kinds is not None and not isinstance(val, kinds):
-            raise ParseError(f"key '{name}.{key}' has the wrong type")
-        out[key] = val
-    return out
-
-
-_MODEL_KEYS = {"kind": (str,), "params": (dict,), "n": (int,), "m": (int,), "l": (int,),
-               "x0": (list,), "z0": (list,)}
-_SDE_KEYS = {"epsilon": (int, float), "T": (int, float), "dt_macro": (int, float),
-             "micro_substeps": (int,), "N": (int,), "seed": (int,),
-             "delta_eps": (int, float, type(None))}
-_FROZEN_KEYS = {"M": (int,), "dt": (int, float), "burn_in": (int, float),
-                "avg_window": (int, float), "seed": (int,), "x": (list,), "mu_mean": (list,)}
-_FILTER_KEYS = {"Nf": (int,), "resample_threshold": (int, float), "functional": (str,),
-                "p": (int,), "kind": (str,), "reference_particle": (int,)}
-_SWEEP_KEYS = {"eps_grid": (list,), "mc_reps": (int,), "p_orders": (list,),
-               "functional": (str,)}
-_PROBE_KEYS = {"sample_count": (int,), "domain_box": (list,), "p": (int,)}
-_TOP_KEYS = ("command", "output_dir", "seed", "format", "model", "sde", "frozen",
-             "filter", "sweep", "probe")
-
-
-def _float_tuple(values, context: str) -> Tuple[float, ...]:
-    out = []
-    for v in values:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ParseError(f"key '{context}' must hold numbers")
-        out.append(float(v))
-    return tuple(out)
-
-
-def _build_model(doc: dict) -> ModelConfig:
-    raw = _section(doc, "model", _MODEL_KEYS)
-    if raw is None:
-        raw = {}
-    kind = raw.get("kind", "linear")
-    _require(kind == "linear", f"model.kind must be 'linear', got '{kind}'")
-    praw = raw.get("params", {})
-    fields = {f.name for f in dataclasses.fields(LinearModelParams)}
-    for key in praw:
         if key not in fields:
-            raise ParseError(f"unknown key 'model.params.{key}'")
-        if not isinstance(praw[key], (int, float)) or isinstance(praw[key], bool):
-            raise ParseError(f"key 'model.params.{key}' must be a number")
-    params = LinearModelParams(**{k: float(v) for k, v in praw.items()})
-    n = raw.get("n", 1)
-    cfg = ModelConfig(
-        params=params,
-        n=n,
-        m=raw.get("m", n),
-        l=raw.get("l", n),
-        x0=_float_tuple(raw.get("x0", [1.0] * n), "model.x0"),
-        z0=_float_tuple(raw.get("z0", [1.0] * raw.get("m", n)), "model.z0"),
-    )
-    try:
-        cfg.build()
-    except InvalidParams as err:
-        raise ValidationError(str(err)) from err
-    return cfg
+            raise ParseError(f"unknown key '{name}.{key}'")
+    values = {}
+    for key, (kind, default) in fields.items():
+        if key in raw:
+            values[key] = kind(raw[key], f"{name}.{key}")
+        elif default is ...:
+            raise ParseError(f"missing required key '{name}.{key}'")
+        else:
+            values[key] = default({**widths, **values}) if callable(default) else default
+    return build(values)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -206,6 +295,14 @@ def parse_config(text: str) -> RunConfig:
         ) from err
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
+    # the one place a violated invariant becomes the config's ValidationError
+    try:
+        return _parse_document(doc)
+    except InvalidParams as err:
+        raise ValidationError(str(err)) from err
+
+
+def _parse_document(doc: dict) -> RunConfig:
     for key in doc:
         if key not in _TOP_KEYS:
             raise ParseError(f"unknown key '{key}'")
@@ -220,120 +317,29 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(output_dir, str):
         raise ParseError("key 'output_dir' must be a string")
     seed = doc.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and not _is_integer(seed):
         raise ParseError("key 'seed' must be an integer")
     fmt = doc.get("format", "csv")
     if not isinstance(fmt, str):
         raise ParseError("key 'format' must be a string")
     _require(fmt in FORMATS, f"format must be one of {', '.join(FORMATS)}, got '{fmt}'")
 
-    model = _build_model(doc)
+    sections = {}
+    for name in _SECTIONS:
+        raw = doc.get(name)
+        if raw is None and name in ("model", "probe"):  # every run has these two
+            raw = {}
+        widths = {"n": sections["model"].n} if sections else {}
+        sections[name] = None if raw is None else _read_section(name, raw, widths)
+    model, sde, frozen = sections["model"], sections["sde"], sections["frozen"]
+    filt, sweep = sections["filter"], sections["sweep"]
 
-    sde = None
-    raw = _section(doc, "sde", _SDE_KEYS)
-    if raw is not None:
-        try:
-            sde = SdeConfig(
-                epsilon=float(raw.get("epsilon", 0.1)),
-                T=float(raw.get("T", 1.0)),
-                dt_macro=float(raw.get("dt_macro", 0.01)),
-                micro_substeps=raw.get("micro_substeps", 1),
-                N=raw.get("N", 100),
-                seed=raw.get("seed", 0),
-                delta_eps=(
-                    None if raw.get("delta_eps") is None else float(raw["delta_eps"])
-                ),
-            )
-        except InvalidParams as err:
-            raise ValidationError(str(err)) from err
-
-    frozen = None
-    raw = _section(doc, "frozen", _FROZEN_KEYS)
-    if raw is not None:
-        try:
-            run = FrozenRunConfig(
-                M=raw.get("M", 1000),
-                dt=float(raw.get("dt", 0.01)),
-                burn_in=float(raw.get("burn_in", 1.0)),
-                avg_window=float(raw.get("avg_window", 1.0)),
-                seed=raw.get("seed", 0),
-            )
-        except InvalidParams as err:
-            raise ValidationError(str(err)) from err
-        frozen = FrozenSection(
-            run=run,
-            x=_float_tuple(raw.get("x", [1.0] * model.n), "frozen.x"),
-            mu_mean=_float_tuple(raw.get("mu_mean", [1.0] * model.n), "frozen.mu_mean"),
-        )
-        _require(len(frozen.x) == model.n, f"frozen.x must have length n={model.n}")
+    for key in ("x", "mu_mean") if frozen is not None else ():
         _require(
-            len(frozen.mu_mean) == model.n, f"frozen.mu_mean must have length n={model.n}"
+            len(getattr(frozen, key)) == model.n, f"frozen.{key} must have length n={model.n}"
         )
-
-    filt = None
-    raw = _section(doc, "filter", _FILTER_KEYS)
-    if raw is not None:
-        filt = FilterSection(
-            Nf=raw.get("Nf", 1000),
-            resample_threshold=float(raw.get("resample_threshold", 0.5)),
-            functional=raw.get("functional", "tanh"),
-            p=raw.get("p", 1),
-            kind=raw.get("kind", "multiscale"),
-            reference_particle=raw.get("reference_particle", 0),
-        )
-        _require(
-            filt.kind in FILTER_KINDS,
-            f"filter.kind must be one of {', '.join(FILTER_KINDS)}, got '{filt.kind}'",
-        )
-        try:
-            filt.filter_config()
-            get_functional(filt.functional)
-        except InvalidParams as err:
-            raise ValidationError(str(err)) from err
-
-    sweep = None
-    raw = _section(doc, "sweep", _SWEEP_KEYS)
-    if raw is not None:
-        if "eps_grid" not in raw:
-            raise ParseError("missing required key 'sweep.eps_grid'")
-        if "mc_reps" not in raw:
-            raise ParseError("missing required key 'sweep.mc_reps'")
-        p_orders = raw.get("p_orders", [1, 2])
-        for p in p_orders:
-            if not isinstance(p, int):
-                raise ParseError("key 'sweep.p_orders' must hold integers")
-        sweep = SweepSection(
-            eps_grid=_float_tuple(raw["eps_grid"], "sweep.eps_grid"),
-            mc_reps=raw["mc_reps"],
-            p_orders=tuple(p_orders),
-            functional=raw.get("functional", "tanh"),
-        )
-        try:
-            validate_sweep_grid(sweep.eps_grid, sweep.mc_reps, sweep.p_orders)
-            get_functional(sweep.functional)
-        except InvalidParams as err:
-            raise ValidationError(str(err)) from err
-
-    raw = _section(doc, "probe", _PROBE_KEYS)
-    if raw is None:
-        probe = ProbeSection()
-    else:
-        box = raw.get("domain_box", [-2.0, 2.0])
-        if len(box) != 2:
-            raise ParseError("key 'probe.domain_box' must be a [lo, hi] pair")
-        probe = ProbeSection(
-            sample_count=raw.get("sample_count", 2000),
-            domain_box=_float_tuple(box, "probe.domain_box"),
-            p=raw.get("p", 1),
-        )
-        try:
-            validate_probe(probe.sample_count, probe.domain_box, probe.p)
-        except InvalidParams as err:
-            raise ValidationError(f"probe.{err}") from err
-
     for name in _REQUIRED_SECTIONS[command]:
-        section = {"sde": sde, "frozen": frozen, "filter": filt, "sweep": sweep}[name]
-        _require(section is not None, f"command '{command}' requires a {name} section")
+        _require(sections[name] is not None, f"command '{command}' requires a {name} section")
     if command == "filter":
         _require(
             0 <= filt.reference_particle < sde.N,
@@ -364,63 +370,22 @@ def parse_config(text: str) -> RunConfig:
     # checked here so a bad config fails before any compute starts
     # sweep commands pick substeps per grid point themselves
     if sde is not None and sweep is None:
-        try:
-            validate_stability(model.build(), sde)
-        except InvalidParams as err:
-            raise ValidationError(str(err)) from err
+        validate_stability(model.build(), sde)
 
-    return RunConfig(
-        command=command,
-        model=model,
-        output_dir=output_dir,
-        seed=seed,
-        format=fmt,
-        sde=sde,
-        frozen=frozen,
-        filter=filt,
-        sweep=sweep,
-        probe=probe,
-    )
+    return RunConfig(command=command, output_dir=output_dir, seed=seed, format=fmt, **sections)
 
 
 def _config_document(cfg: RunConfig) -> dict:
-    doc = {
-        "command": cfg.command,
-        "output_dir": cfg.output_dir,
-        "seed": cfg.seed,
-        "format": cfg.format,
-        "model": {
-            "kind": "linear",
-            "params": dataclasses.asdict(cfg.model.params),
-            "n": cfg.model.n,
-            "m": cfg.model.m,
-            "l": cfg.model.l,
-            "x0": list(cfg.model.x0),
-            "z0": list(cfg.model.z0),
-        },
-        "probe": {
-            "sample_count": cfg.probe.sample_count,
-            "domain_box": list(cfg.probe.domain_box),
-            "p": cfg.probe.p,
-        },
-    }
-    if cfg.sde is not None:
-        doc["sde"] = dataclasses.asdict(cfg.sde)
-    if cfg.frozen is not None:
-        doc["frozen"] = {
-            **dataclasses.asdict(cfg.frozen.run),
-            "x": list(cfg.frozen.x),
-            "mu_mean": list(cfg.frozen.mu_mean),
-        }
-    if cfg.filter is not None:
-        doc["filter"] = dataclasses.asdict(cfg.filter)
-    if cfg.sweep is not None:
-        doc["sweep"] = {
-            "eps_grid": list(cfg.sweep.eps_grid),
-            "mc_reps": cfg.sweep.mc_reps,
-            "p_orders": list(cfg.sweep.p_orders),
-            "functional": cfg.sweep.functional,
-        }
+    doc = {"command": cfg.command, "output_dir": cfg.output_dir, "seed": cfg.seed,
+           "format": cfg.format}
+    for name, (_, fields) in _SECTIONS.items():
+        section = getattr(cfg, name)
+        if section is None:
+            continue
+        values = dataclasses.asdict(section)
+        values.update(values.pop("run", {}))  # the frozen run's keys sit one level down
+        # model.kind is held by no dataclass: only its default, 'linear', parses
+        doc[name] = {key: values.get(key, default) for key, (_, default) in fields.items()}
     return doc
 
 

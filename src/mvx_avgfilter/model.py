@@ -26,7 +26,7 @@ distances).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -34,6 +34,14 @@ import numpy as np
 from .errors import InvalidParams
 from .measure import MeasureSummary, dirac_summary
 from .streams import stream
+
+
+def _require_finite(cfg, names) -> None:
+    """Refuse NaN or infinity in the named float fields (None is allowed)."""
+    for name in names:
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value):
+            raise InvalidParams(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,9 @@ class LinearModelParams:
     c3: float = 0.5
     s2: float = 1.0
     hscale: float = 1.0
+
+    def __post_init__(self):
+        _require_finite(self, [f.name for f in fields(self)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +128,15 @@ def make_linear_model(
         raise InvalidParams(
             f"linear family applies coefficients per-coordinate and needs n == m == l (got {n}, {m}, {l})"
         )
-    x0 = np.asarray(x0, dtype=np.float64).reshape(n)
-    z0 = np.asarray(z0, dtype=np.float64).reshape(m)
+    if n < 1:
+        raise InvalidParams(f"n = m = l >= 1 required (got {n})")
+    x0 = np.asarray(x0, dtype=np.float64)
+    z0 = np.asarray(z0, dtype=np.float64)
+    if x0.size != n:
+        raise InvalidParams(f"x0 must hold n={n} values (got {x0.size})")
+    if z0.size != m:
+        raise InvalidParams(f"z0 must hold m={m} values (got {z0.size})")
+    x0, z0 = x0.reshape(n), z0.reshape(m)
     p = params
     eye_n = p.s1 * np.eye(n)
     eye_m = p.s2 * np.eye(m)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch, Instability, InvalidParams, MissingDelta
 from .measure import MeasureSummary, ParticleCloud, summarize_points
-from .model import ModelSpec
+from .model import ModelSpec, _require_finite
 from .streams import _increment_chunks, normal_increments
 
 STABILITY_CAP = 0.25
@@ -39,14 +39,6 @@ STABILITY_CAP = 0.25
 SLOW_LABEL = "signal-slow"
 FAST_LABEL = "signal-fast"
 FROZEN_LABEL = "frozen"
-
-
-def _require_finite(cfg, names) -> None:
-    """Refuse NaN or infinity in the named float fields (None is allowed)."""
-    for name in names:
-        value = getattr(cfg, name)
-        if value is not None and not math.isfinite(value):
-            raise InvalidParams(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -78,6 +70,8 @@ class SdeConfig:
                 f"N must be >= 2 so empirical laws are nondegenerate, got {self.N}"
             )
         ratio = self.T / self.dt_macro
+        if not math.isfinite(ratio):
+            raise InvalidParams(f"T/dt_macro must be a finite step count, got {ratio}")
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise InvalidParams(
                 f"dt_macro={self.dt_macro} does not tile [0, T={self.T}] exactly"
@@ -214,7 +208,16 @@ def suggest_micro_substeps(dt_macro: float, epsilon: float, gamma_est: float) ->
     It is 1 when no contraction is detected (gamma_est <= 0): the cap is a
     relaxation-rate condition and has no meaning without one.
     """
-    return max(1, int(math.ceil(dt_macro * gamma_est / (STABILITY_CAP * epsilon))))
+    if gamma_est <= 0.0:
+        return 1
+    scale = STABILITY_CAP * epsilon  # 0.0 once a tiny epsilon underflows
+    needed = dt_macro * gamma_est / scale if scale > 0.0 else math.inf
+    if not math.isfinite(needed):
+        raise InvalidParams(
+            f"no micro-substep count meets the stability cap at dt_macro={dt_macro}, "
+            f"epsilon={epsilon}"
+        )
+    return max(1, int(math.ceil(needed)))
 
 
 def validate_stability(model: ModelSpec, cfg: SdeConfig) -> None:

@@ -452,8 +452,9 @@ FROZEN = {"M": 10, "dt": 0.01, "burn_in": 0.1, "avg_window": 0.1}
         ({"sde": {"delta_eps": math.nan}}, "delta_eps"),
         ({"command": "frozen", "frozen": dict(FROZEN, dt=math.nan)}, "dt"),
         ({"command": "frozen", "frozen": dict(FROZEN, avg_window=math.inf)}, "avg_window"),
+        ({"command": "probe", "model": {"params": {"gamma": math.nan}}}, "gamma"),
     ],
-    ids=["T-inf", "delta_eps-nan", "dt-nan", "avg_window-inf"],
+    ids=["T-inf", "delta_eps-nan", "dt-nan", "avg_window-inf", "gamma-nan"],
 )
 def test_main_refuses_non_finite_config_values(tmp_path, capsys, overrides, field):
     cfg_path = tmp_path / "bad.json"
@@ -467,6 +468,28 @@ def test_main_refuses_non_finite_config_values(tmp_path, capsys, overrides, fiel
     err = json.loads(lines[0])
     assert err["error"] == "ValidationError"
     assert err["message"].startswith(f"{field} must be finite")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "model,message",
+    [
+        ({"x0": [1.0, 2.0]}, "x0 must hold n=1 values"),
+        ({"n": 0, "m": 0, "l": 0, "x0": [], "z0": []}, "n = m = l >= 1 required"),
+    ],
+    ids=["x0-too-long", "zero-width"],
+)
+def test_main_answers_a_malformed_model_with_one_json_error(tmp_path, capsys, model, message):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(cfg_text(model=model), encoding="utf-8")
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValidationError"
+    assert message in err["message"]
     assert not (tmp_path / "o").exists()
 
 

@@ -52,6 +52,29 @@ def test_make_linear_model_rejects_gamma_below_c3():
         )
 
 
+@pytest.mark.parametrize(
+    "widths,x0,z0,message",
+    [
+        ((0, 0, 0), [], [], r"n = m = l >= 1 required \(got 0\)"),
+        ((1, 1, 1), [1.0, 2.0], [0.0], r"x0 must hold n=1 values \(got 2\)"),
+        ((2, 2, 2), [1.0, 2.0], [0.0], r"z0 must hold m=2 values \(got 1\)"),
+    ],
+)
+def test_make_linear_model_refuses_a_zero_width_or_a_point_of_the_wrong_size(
+    widths, x0, z0, message
+):
+    n, m, l = widths
+    with pytest.raises(InvalidParams, match=message):
+        make_linear_model(REF, n=n, m=m, l=l, x0=x0, z0=z0)
+
+
+@pytest.mark.parametrize("field,value", [("gamma", float("nan")), ("s1", float("inf")),
+                                         ("c3", -float("inf"))])
+def test_linear_params_refuse_non_finite_coefficients(field, value):
+    with pytest.raises(InvalidParams, match=f"{field} must be finite"):
+        LinearModelParams(**{field: value})
+
+
 def test_a13_zero_b1_ignores_z():
     params = LinearModelParams(a13=0.0)
     m = make_linear_model(params, n=1, m=1, l=1, x0=[0.0], z0=[0.0])
