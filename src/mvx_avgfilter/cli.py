@@ -1,8 +1,12 @@
 """Command-line driver.
 
-One config file in, one output directory out.  Every run writes its data
-files plus a manifest.json recording the config digest, tool version,
-wall-clock and per-stage timings, and the seeds actually used.  Exit code
+One config file in, one output directory out.  run_command is the one runner
+for every command.  It runs the command's section under the config's
+top-level seed when one is set, else under the section's own seed, and times
+each stage.  Each command only computes its (columns, rows, payload); one
+writer stores ``<command>.csv`` and/or ``<command>.json``, as format says,
+and a manifest.json with the config digest, tool version, wall-clock and
+per-stage timings, the seeds actually used and the files written.  Exit code
 0 on success; on failure a single JSON object goes to stderr.
 """
 
@@ -14,6 +18,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -21,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .averaging import analytic_bbar_linear, estimate_bbar, make_drift_oracle
-from .config import RunConfig, config_digest, parse_config
+from .config import COMMANDS, RunConfig, config_digest, parse_config
 from .errors import MvxError, ValidationError
 from .experiments import SweepConfig, averaging_error_sweep, filter_error_sweep, usable_cpus
 from .filtering import generate_observations, run_filter
@@ -59,175 +64,116 @@ class RunManifest:
         return dataclasses.asdict(self)
 
 
-def _effective_seed(cfg: RunConfig, section_seed: int) -> int:
-    return cfg.seed if cfg.seed is not None else section_seed
-
-
 def run_command(cfg: RunConfig, threads: int = 1) -> RunManifest:
     """Execute one parsed config and write its outputs."""
     t_start = time.perf_counter()
+    command = cfg.command
+    if command not in COMMANDS:  # parse_config refuses these; a hand-built config may not
+        raise ValidationError(f"unknown command '{command}'")
     stages: Dict[str, float] = {}
-    seeds: Dict[str, int] = {}
-    outputs: List[str] = []
-    out_dir = cfg.output_dir
-    fmt = cfg.format
 
-    def emit(stem: str, columns, rows, payload):
+    @contextmanager
+    def stage(name: str):
         t0 = time.perf_counter()
-        if fmt in ("csv", "both"):
-            write_csv(os.path.join(out_dir, stem + ".csv"), cfg.command, columns, rows)
-            outputs.append(stem + ".csv")
-        if fmt in ("json", "both"):
-            write_json(os.path.join(out_dir, stem + ".json"), payload)
-            outputs.append(stem + ".json")
-        stages["write"] = stages.get("write", 0.0) + time.perf_counter() - t0
+        yield
+        stages[name] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    model = cfg.model.build()
-    stages["setup"] = time.perf_counter() - t0
+    with stage("setup"):
+        model = cfg.model.build()
 
-    if cfg.command == "simulate":
-        seed = _effective_seed(cfg, cfg.sde.seed)
-        sde = dataclasses.replace(cfg.sde, seed=seed)
-        seeds["sde"] = seed
-        t0 = time.perf_counter()
-        ens = simulate_slow_fast(model, sde)
-        stages["simulate"] = time.perf_counter() - t0
-        emit(
-            "simulate",
-            ensemble_columns(model.n, model.m, True),
-            ensemble_rows(ens),
-            ensemble_json(ens),
-        )
-
-    elif cfg.command == "frozen":
-        seed = _effective_seed(cfg, cfg.frozen.run.seed)
+    # the config's top-level seed, when set, replaces the seed of the section run
+    if command in ("frozen", "bbar"):
+        key, section_seed = "frozen", cfg.frozen.run.seed
+    elif command == "probe":
+        key, section_seed = "probe", 0  # the probe section has no seed of its own
+    else:
+        key, section_seed = ("sweep" if command.startswith("sweep-") else "sde"), cfg.sde.seed
+    seed = section_seed if cfg.seed is None else cfg.seed
+    seeds: Dict[str, int] = {key: seed}
+    if key == "frozen":
         run = dataclasses.replace(cfg.frozen.run, seed=seed)
-        seeds["frozen"] = seed
         x = np.asarray(cfg.frozen.x)
         mu = dirac_summary(np.asarray(cfg.frozen.mu_mean))
-        t0 = time.perf_counter()
-        ens = simulate_frozen(model, x, mu, run)
-        stages["simulate"] = time.perf_counter() - t0
-        emit(
-            "frozen",
-            ["t", "particle"] + [f"z{j}" for j in range(model.m)],
-            frozen_rows(ens),
-            frozen_json(ens),
-        )
-
-    elif cfg.command == "bbar":
-        seed = _effective_seed(cfg, cfg.frozen.run.seed)
-        run = dataclasses.replace(cfg.frozen.run, seed=seed)
-        seeds["frozen"] = seed
-        x = np.asarray(cfg.frozen.x)
-        mu = dirac_summary(np.asarray(cfg.frozen.mu_mean))
-        t0 = time.perf_counter()
-        est = estimate_bbar(model, x, mu, run)
-        stages["estimate"] = time.perf_counter() - t0
-        analytic = analytic_bbar_linear(
-            cfg.model.params, x, np.asarray(cfg.frozen.mu_mean)
-        )
-        emit(
-            "bbar",
-            ["component", "value", "stderr", "tau_int", "n_samples"],
-            [
-                [j, float(est.value[j]), float(est.stderr[j]), float(est.tau_int[j]),
-                 est.n_samples]
-                for j in range(model.n)
-            ],
-            {
-                "value": est.value.tolist(),
-                "stderr": est.stderr.tolist(),
-                "tau_int": est.tau_int.tolist(),
-                "n_samples": est.n_samples,
-                "analytic": np.asarray(analytic).tolist(),
-            },
-        )
-
-    elif cfg.command == "filter":
-        seed = _effective_seed(cfg, cfg.sde.seed)
+    elif key != "probe":
         sde = dataclasses.replace(cfg.sde, seed=seed)
-        obs_seed = derive_seed(seed, "cli-observation")
-        seeds["sde"] = seed
-        seeds["observation"] = obs_seed
-        t0 = time.perf_counter()
-        signal = simulate_slow_fast(model, sde)
-        obs = generate_observations(
-            model, signal, cfg.filter.reference_particle, sde.dt_macro, obs_seed
-        )
-        stages["signal"] = time.perf_counter() - t0
-        drift = (
-            make_drift_oracle(model, mode="analytic-linear")
-            if cfg.filter.kind == "averaged"
-            else None
-        )
-        t0 = time.perf_counter()
-        traj = run_filter(
-            cfg.filter.kind, model, drift, obs, cfg.filter.filter_config(), sde
-        )
-        stages["filter"] = time.perf_counter() - t0
-        emit(
-            "filter",
-            ["t", "pi_F", "log_rho1", "ess", "resampled"],
-            filter_rows(traj),
-            filter_json(traj),
-        )
 
-    elif cfg.command == "probe":
-        seed = cfg.seed if cfg.seed is not None else 0
-        seeds["probe"] = seed
-        t0 = time.perf_counter()
-        rep = probe_assumptions(
-            model,
-            sample_count=cfg.probe.sample_count,
-            domain_box=cfg.probe.domain_box,
-            p=cfg.probe.p,
-            seed=seed,
-        )
-        stages["probe"] = time.perf_counter() - t0
+    # each command computes its (columns, rows, payload); one writer stores them
+    if command == "simulate":
+        with stage("simulate"):
+            ens = simulate_slow_fast(model, sde)
+        table = ensemble_columns(model.n, model.m, True), ensemble_rows(ens), ensemble_json(ens)
+
+    elif command == "frozen":
+        with stage("simulate"):
+            ens = simulate_frozen(model, x, mu, run)
+        columns = ["t", "particle"] + [f"z{j}" for j in range(model.m)]
+        table = columns, frozen_rows(ens), frozen_json(ens)
+
+    elif command == "bbar":
+        with stage("estimate"):
+            est = estimate_bbar(model, x, mu, run)
+        analytic = analytic_bbar_linear(cfg.model.params, x, np.asarray(cfg.frozen.mu_mean))
+        rows = [
+            [j, float(est.value[j]), float(est.stderr[j]), float(est.tau_int[j]), est.n_samples]
+            for j in range(model.n)
+        ]
+        payload = {
+            "value": est.value.tolist(),
+            "stderr": est.stderr.tolist(),
+            "tau_int": est.tau_int.tolist(),
+            "n_samples": est.n_samples,
+            "analytic": np.asarray(analytic).tolist(),
+        }
+        table = ["component", "value", "stderr", "tau_int", "n_samples"], rows, payload
+
+    elif command == "filter":
+        seeds["observation"] = derive_seed(seed, "cli-observation")
+        with stage("signal"):
+            signal = simulate_slow_fast(model, sde)
+            obs = generate_observations(
+                model, signal, cfg.filter.reference_particle, sde.dt_macro, seeds["observation"]
+            )
+        averaged = cfg.filter.kind == "averaged"
+        drift = make_drift_oracle(model, mode="analytic-linear") if averaged else None
+        with stage("filter"):
+            traj = run_filter(cfg.filter.kind, model, drift, obs, cfg.filter.filter_config(), sde)
+        table = ["t", "pi_F", "log_rho1", "ess", "resampled"], filter_rows(traj), filter_json(traj)
+
+    elif command == "probe":
+        probe = cfg.probe
+        with stage("probe"):
+            rep = probe_assumptions(model, probe.sample_count, probe.domain_box, probe.p, seed)
         payload = dataclasses.asdict(rep)
-        rows = [["domain_lo", float(rep.domain_box[0])],
-                ["domain_hi", float(rep.domain_box[1])]]
-        for key, val in payload.items():
-            if key == "domain_box":
-                continue
-            rows.append([key, float(val) if isinstance(val, float) else val])
-        emit("probe", ["key", "value"], rows, payload)
+        rows = [["domain_lo", float(rep.domain_box[0])], ["domain_hi", float(rep.domain_box[1])]]
+        rows += [[name, value] for name, value in payload.items() if name != "domain_box"]
+        table = ["key", "value"], rows, payload
 
-    elif cfg.command in ("sweep-averaging", "sweep-filter"):
-        seed = _effective_seed(cfg, cfg.sde.seed)
-        base = dataclasses.replace(cfg.sde, seed=seed)
-        seeds["sweep"] = seed
+    else:  # the two sweeps
         drift = make_drift_oracle(model, mode="analytic-linear")
-        t0 = time.perf_counter()
-        if cfg.command == "sweep-averaging":
+        filter_cfg = cfg.filter.filter_config() if command == "sweep-filter" else None
+        with stage("sweep"):
             sweep = SweepConfig(
-                eps_grid=cfg.sweep.eps_grid,
-                mc_reps=cfg.sweep.mc_reps,
-                base_sde=base,
-                p_orders=cfg.sweep.p_orders,
-                threads=threads,
+                eps_grid=cfg.sweep.eps_grid, mc_reps=cfg.sweep.mc_reps, base_sde=sde,
+                p_orders=cfg.sweep.p_orders, filter_cfg=filter_cfg, threads=threads,
             )
-            report = averaging_error_sweep(model, drift, sweep)
-        else:
-            sweep = SweepConfig(
-                eps_grid=cfg.sweep.eps_grid,
-                mc_reps=cfg.sweep.mc_reps,
-                base_sde=base,
-                p_orders=cfg.sweep.p_orders,
-                filter_cfg=cfg.filter.filter_config(),
-                threads=threads,
-            )
-            report = filter_error_sweep(model, drift, cfg.sweep.functional, sweep)
-        stages["sweep"] = time.perf_counter() - t0
-        emit(cfg.command, list(SWEEP_COLUMNS), sweep_rows(report), sweep_json(report))
+            if command == "sweep-averaging":
+                report = averaging_error_sweep(model, drift, sweep)
+            else:
+                report = filter_error_sweep(model, drift, cfg.sweep.functional, sweep)
+        table = list(SWEEP_COLUMNS), sweep_rows(report), sweep_json(report)
 
-    else:  # unreachable: parse_config rejects unknown commands
-        raise ValidationError(f"unknown command '{cfg.command}'")
+    columns, rows, payload = table
+    outputs = [f"{command}.{ext}" for ext in ("csv", "json") if cfg.format in (ext, "both")]
+    with stage("write"):
+        for name in outputs:
+            path = os.path.join(cfg.output_dir, name)
+            if name.endswith(".csv"):
+                write_csv(path, command, columns, rows)
+            else:
+                write_json(path, payload)
 
     manifest = RunManifest(
-        command=cfg.command,
+        command=command,
         config_digest=config_digest(cfg),
         version=__version__,
         wall_clock_s=time.perf_counter() - t_start,
@@ -235,7 +181,7 @@ def run_command(cfg: RunConfig, threads: int = 1) -> RunManifest:
         seeds=seeds,
         outputs=outputs,
     )
-    write_json(os.path.join(out_dir, "manifest.json"), manifest.to_dict())
+    write_json(os.path.join(cfg.output_dir, "manifest.json"), manifest.to_dict())
     return manifest
 
 

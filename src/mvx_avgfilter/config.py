@@ -15,13 +15,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import InvalidParams, ParseError, ValidationError
 from .experiments import validate_sweep_grid
 from .filtering import FILTER_KINDS, FilterConfig, get_functional
-from .model import LinearModelParams, ModelSpec, make_linear_model, validate_probe
+from .model import LinearModelParams, ModelSpec, _require_finite, make_linear_model, validate_probe
 from .sde import FrozenRunConfig, SdeConfig, validate_stability
 
 # each command, with the sections it cannot run without
@@ -145,12 +146,20 @@ def _vector(accepts, convert, noun: str, length: Optional[int] = None):
     return read
 
 
-_number = _scalar(_is_number, float)
+def _float(value) -> float:
+    """float(value), with an integer beyond the float range read as +-inf, like 1e999."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+_number = _scalar(_is_number, _float)
 _integer = _scalar(_is_integer)
 _string = _scalar(lambda v: isinstance(v, str))
-_numbers = _vector(_is_number, float, "numbers")
+_numbers = _vector(_is_number, _float, "numbers")
 _integers = _vector(_is_integer, int, "integers")
-_pair = _vector(_is_number, float, "numbers", length=2)
+_pair = _vector(_is_number, _float, "numbers", length=2)
 
 
 def _number_or_null(value, key: str) -> Optional[float]:
@@ -166,7 +175,7 @@ def _params(value, key: str) -> LinearModelParams:
             raise ParseError(f"unknown key '{key}.{name}'")
         if not _is_number(number):
             raise ParseError(f"key '{key}.{name}' must be a number")
-    return LinearModelParams(**{name: float(number) for name, number in value.items()})
+    return LinearModelParams(**{name: _float(number) for name, number in value.items()})
 
 
 # ----- sections: each value handed to the section's dataclass, then checked -----
@@ -182,8 +191,10 @@ def _model(values: dict) -> ModelConfig:
 
 
 def _frozen(values: dict) -> FrozenSection:
-    return FrozenSection(x=values.pop("x"), mu_mean=values.pop("mu_mean"),
-                         run=FrozenRunConfig(**values))
+    section = FrozenSection(x=values.pop("x"), mu_mean=values.pop("mu_mean"),
+                            run=FrozenRunConfig(**values))
+    _require_finite(section, ("x", "mu_mean"))
+    return section
 
 
 def _filter(values: dict) -> FilterSection:

@@ -451,7 +451,7 @@ def martingale_check(
         for j in range(n_obs):
             points = path.slow[j * stride]
             h_j = np.asarray(model.h(points, _uniform_summary(points)), dtype=float)
-            acc -= (h_j * dv[j]).sum(axis=1) + 0.5 * (h_j * h_j).sum(axis=1) * dt
+            acc += log_likelihood_increment(-h_j, dv[j], dt)
         vals = np.exp(acc)
         total += float(vals.sum())
         total_sq += float(vals @ vals)

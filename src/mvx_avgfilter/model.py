@@ -37,10 +37,10 @@ from .streams import stream
 
 
 def _require_finite(cfg, names) -> None:
-    """Refuse NaN or infinity in the named float fields (None is allowed)."""
+    """Refuse NaN or infinity in the named number or vector fields (None is allowed)."""
     for name in names:
         value = getattr(cfg, name)
-        if value is not None and not math.isfinite(value):
+        if value is not None and not all(map(math.isfinite, np.ravel(value))):
             raise InvalidParams(f"{name} must be finite, got {value}")
 
 
@@ -158,7 +158,7 @@ def make_linear_model(
     def h(x, mu):
         return np.tanh(p.hscale * x) + np.tanh(p.hscale * mu.mean)
 
-    return ModelSpec(
+    spec = ModelSpec(
         n=n,
         m=m,
         l=l,
@@ -172,6 +172,8 @@ def make_linear_model(
         h_max=2.0 * math.sqrt(l),
         linear_params=params,
     )
+    _require_finite(spec, ("x0", "z0"))
+    return spec
 
 
 def _sigma_rows(sig: np.ndarray, count: int, d: int) -> np.ndarray:

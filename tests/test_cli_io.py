@@ -10,8 +10,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -453,8 +455,15 @@ FROZEN = {"M": 10, "dt": 0.01, "burn_in": 0.1, "avg_window": 0.1}
         ({"command": "frozen", "frozen": dict(FROZEN, dt=math.nan)}, "dt"),
         ({"command": "frozen", "frozen": dict(FROZEN, avg_window=math.inf)}, "avg_window"),
         ({"command": "probe", "model": {"params": {"gamma": math.nan}}}, "gamma"),
+        ({"command": "probe", "model": {"x0": [math.nan]}}, "x0"),
+        ({"command": "probe", "model": {"z0": [-math.inf]}}, "z0"),
+        ({"command": "frozen", "frozen": dict(FROZEN, x=[math.nan])}, "x"),
+        ({"command": "frozen", "frozen": dict(FROZEN, mu_mean=[math.inf])}, "mu_mean"),
+        # an integer beyond the float range reads as inf, as 1e999 does
+        ({"sde": {"T": 10**400}}, "T"),
     ],
-    ids=["T-inf", "delta_eps-nan", "dt-nan", "avg_window-inf", "gamma-nan"],
+    ids=["T-inf", "delta_eps-nan", "dt-nan", "avg_window-inf", "gamma-nan", "x0-nan",
+         "z0-inf", "x-nan", "mu_mean-inf", "T-401-digits"],
 )
 def test_main_refuses_non_finite_config_values(tmp_path, capsys, overrides, field):
     cfg_path = tmp_path / "bad.json"
@@ -607,3 +616,80 @@ def test_every_command_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     codes = json.loads(proc.stdout.splitlines()[-1])
     assert codes == {name: 0 for name in TINY_RUNS}, proc.stderr
+
+
+# ===== one runner: files, outputs, seeds and stages of every command =====
+
+# per command: the manifest's seeds keys and stages keys (README §Command line
+# lists the same); "sde"/"sweep" name the sde section's seed, "frozen" the
+# frozen section's, and probe has no seed of its own
+CONTRACT = {
+    "simulate": (["sde"], ["setup", "simulate", "write"]),
+    "frozen": (["frozen"], ["setup", "simulate", "write"]),
+    "bbar": (["frozen"], ["setup", "estimate", "write"]),
+    "filter": (["sde", "observation"], ["setup", "signal", "filter", "write"]),
+    "sweep-averaging": (["sweep"], ["setup", "sweep", "write"]),
+    "sweep-filter": (["sweep"], ["setup", "sweep", "write"]),
+    "probe": (["probe"], ["setup", "probe", "write"]),
+}
+SEED_SECTION = {"sde": "sde", "sweep": "sde", "frozen": "frozen"}
+
+
+def run_tiny(tmp_path, name, sub, seed=None, section=None, fmt="both"):
+    """Run TINY_RUNS[name] into tmp_path/sub, with seed set at the top level or
+    in section; returns (manifest, data file bytes)."""
+    doc = json.loads(cfg_text(**dict({"command": name}, **TINY_RUNS[name])))
+    doc.update(output_dir=str(tmp_path / sub), format=fmt)
+    if seed is not None:
+        (doc[section] if section else doc)["seed"] = seed
+    manifest = run_command(parse_config(json.dumps(doc))).to_dict()
+    assert json.loads(read(tmp_path / sub / "manifest.json")) == manifest
+    files = sorted(os.listdir(tmp_path / sub))
+    assert files == sorted(manifest["outputs"] + ["manifest.json"])
+    return manifest, {f: read(tmp_path / sub / f) for f in manifest["outputs"]}
+
+
+@pytest.mark.parametrize("name", sorted(TINY_RUNS))
+def test_run_command_keeps_the_runner_contract(tmp_path, name):
+    man, data = run_tiny(tmp_path, name, "top", seed=5)
+    command = man["command"]
+    seed_keys, stage_keys = CONTRACT[command]
+    assert man["outputs"] == [command + ".csv", command + ".json"]
+    assert list(man["seeds"]) == seed_keys
+    assert list(man["stages"]) == stage_keys
+    key = seed_keys[0]
+    assert man["seeds"][key] == 5
+    if key == "probe":  # no section seed: it runs at 0 unless the top level sets one
+        man, _ = run_tiny(tmp_path, name, "none")
+        assert man["seeds"] == {"probe": 0}
+        return
+    # a top-level seed is the same run as the section's seed set to it
+    again, same = run_tiny(tmp_path, name, "section", seed=5, section=SEED_SECTION[key])
+    assert same == data
+    assert again["seeds"] == man["seeds"]
+    assert again["outputs"] == man["outputs"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_format_picks_the_data_files(tmp_path, fmt):
+    man, _ = run_tiny(tmp_path, "probe", fmt, fmt=fmt)
+    assert man["outputs"] == ["probe." + fmt]
+
+
+def readme_runner_rows():
+    section = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = section.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    pattern = r"^\| `([\w-]+)` \| (.+?) \| (.+?) \| (.+?) \|$"
+    return {
+        command: tuple([cell.strip("`") for cell in text.split(", ")] for text in cells)
+        for command, *cells in re.findall(pattern, section, re.M)
+    }
+
+
+def test_readme_lists_the_files_seeds_and_stages_of_every_command():
+    expected = {
+        command: ([command + ".csv", command + ".json"], seeds, stages)
+        for command, (seeds, stages) in CONTRACT.items()
+    }
+    assert set(CONTRACT) == set(COMMANDS)
+    assert readme_runner_rows() == expected

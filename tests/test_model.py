@@ -75,6 +75,13 @@ def test_linear_params_refuse_non_finite_coefficients(field, value):
         LinearModelParams(**{field: value})
 
 
+@pytest.mark.parametrize("x0,z0,field", [([1.0, float("nan")], [0.0, 0.0], "x0"),
+                                         ([1.0, 2.0], [float("inf"), 0.0], "z0")])
+def test_make_linear_model_refuses_a_non_finite_start(x0, z0, field):
+    with pytest.raises(InvalidParams, match=f"{field} must be finite"):
+        make_linear_model(REF, n=2, m=2, l=2, x0=x0, z0=z0)
+
+
 def test_a13_zero_b1_ignores_z():
     params = LinearModelParams(a13=0.0)
     m = make_linear_model(params, n=1, m=1, l=1, x0=[0.0], z0=[0.0])
