@@ -6,6 +6,10 @@ ensemble past burn-in and time-averages; standard errors account for the
 serial correlation of the ensemble averages through the integrated
 autocorrelation time (Sokal windowing), since batch means at these window
 lengths under-cover badly.
+
+A drift is any callable (points, mu-summary) -> drift rows, taking (N, n)
+points or a single (n,) point.  make_drift_oracle builds the two the
+package provides: the linear closed form and the cell-cached estimate.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from . import SCHEMA_VERSION
 from .measure import MeasureSummary
 from .model import LinearModelParams, ModelSpec
 from .sde import FrozenRunConfig, simulate_frozen
-from .serialize import atomic_write_text
+from .serialize import atomic_write_chunks
 from .streams import derive_seed
 
 __all__ = [
@@ -302,69 +306,50 @@ def smoothed_deviations(profile: ErgodicDecayProfile, width: int = 3) -> np.ndar
     return np.convolve(padded, kernel, mode="valid")
 
 
-# ===== cached drift oracle =====
+# ===== drift oracles =====
 
 
-_MODES = ("estimated", "analytic-linear", "user")
+_MODES = ("estimated", "analytic-linear")
 
 
 class AveragedDriftOracle:
-    """Callable (points, mu-summary) -> averaged drift rows.
+    """The estimated averaged drift: (points, mu-summary) -> drift rows.
 
-    In "estimated" mode, evaluations are memoized on quantized
-    (x, mean(mu), second-moment) cells; each cell is estimated at the
-    dequantized cell center under a seed derived from the cell key, so
-    cached values do not depend on evaluation order and two oracles with the
-    same configuration agree bit-for-bit.  The cache only ever applies to
-    the model it was built with; the persisted form records dimensions and
-    the frozen-run configuration, not the coefficient functions.
+    Evaluations are memoized on quantized (x, mean(mu), second-moment)
+    cells; each cell is estimated at the dequantized cell center under a
+    seed derived from the cell key, so cached values do not depend on
+    evaluation order and two oracles with the same configuration agree
+    bit-for-bit.  The cache only ever applies to the model it was built
+    with; the persisted form records dimensions and the frozen-run
+    configuration, not the coefficient functions.
     """
 
-    def __init__(
-        self,
-        model: ModelSpec,
-        mode: str,
-        frozen_cfg: Optional[FrozenRunConfig] = None,
-        quant: float = 0.05,
-        user_fn: Optional[Callable] = None,
-    ):
+    def __init__(self, model: ModelSpec, frozen_cfg: FrozenRunConfig, quant: float = 0.05):
         self.model = model
-        self.mode = mode
         self.frozen_cfg = frozen_cfg
         self.quant = float(quant)
-        self.user_fn = user_fn
         self.stats = {"hits": 0, "misses": 0}
         self._cache = {}
         self._lock = threading.Lock()
 
     # -- cell handling --
 
-    def _cell_inputs(self, key: tuple):
-        n = self.model.n
-        kx = np.array(key[:n], dtype=float) * self.quant
-        km = np.array(key[n:-1], dtype=float) * self.quant
-        ks = key[-1] * self.quant
-        return kx, MeasureSummary(mean=km, second_moment=float(ks), n_points=1)
-
     def _estimate_cell(self, key: tuple) -> np.ndarray:
-        x_rep, mu_rep = self._cell_inputs(key)
-        cfg = dataclasses.replace(
-            self.frozen_cfg, seed=derive_seed(self.frozen_cfg.seed, "cell", *key)
+        """estimate_bbar at the cell's centre, under a seed derived from its key."""
+        n, q = self.model.n, self.quant
+        x_rep = np.array(key[:n], dtype=float) * q
+        mu_rep = MeasureSummary(
+            mean=np.array(key[n:-1], dtype=float) * q, second_moment=float(key[-1] * q), n_points=1
         )
-        est = estimate_bbar(self.model, x_rep, mu_rep, cfg)
-        return est.value
+        seed = derive_seed(self.frozen_cfg.seed, "cell", *key)
+        cfg = dataclasses.replace(self.frozen_cfg, seed=seed)
+        return estimate_bbar(self.model, x_rep, mu_rep, cfg).value
 
     def __call__(self, x, mu: MeasureSummary) -> np.ndarray:
         pts = np.asarray(x, dtype=float)
-        single = pts.ndim == 1
-        rows = pts.reshape(1, -1) if single else pts
-        if self.mode == "analytic-linear":
-            out = analytic_bbar_linear(self.model.linear_params, rows, mu.mean)
-        elif self.mode == "user":
-            out = np.asarray(self.user_fn(rows, mu), dtype=float)
-        else:
-            out = self._lookup(rows, mu)
-        return out[0] if single else out
+        if pts.ndim == 1:
+            return self._lookup(pts.reshape(1, -1), mu)[0]
+        return self._lookup(pts, mu)
 
     def _lookup(self, rows: np.ndarray, mu: MeasureSummary) -> np.ndarray:
         """Cached cell values for every row, one cache lookup per distinct cell.
@@ -420,7 +405,7 @@ class AveragedDriftOracle:
             "frozen_cfg": dataclasses.asdict(self.frozen_cfg),
             "entries": entries,
         }
-        atomic_write_text(os.fspath(path), json.dumps(doc, indent=1))
+        atomic_write_chunks(os.fspath(path), (json.dumps(doc, indent=1),))
 
     def load_cache(self, path) -> None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -440,27 +425,27 @@ def make_drift_oracle(
     mode: str,
     frozen_cfg: Optional[FrozenRunConfig] = None,
     quant: float = 0.05,
-    user_fn: Optional[Callable] = None,
     cache_path=None,
-) -> AveragedDriftOracle:
-    """Build an averaged-drift oracle in one of three modes.
+) -> Callable:
+    """The averaged drift of ``model``, a callable (points, mu-summary) -> rows.
 
-    "analytic-linear" uses the closed form (linear family only),
-    "estimated" runs cached frozen-ensemble estimates, "user" wraps a
-    caller-supplied function of (points, mu-summary).
+    Any callable of that signature is a drift for every consumer
+    (``simulate_averaged``, ``coupled_pair``, the averaged filter arm and the
+    sweeps).  "analytic-linear" is :func:`analytic_bbar_linear` (linear family
+    only); "estimated" is an :class:`AveragedDriftOracle`, loaded from
+    ``cache_path`` if that file exists.
     """
 
     if mode not in _MODES:
         raise InvalidParams(f"mode must be one of {_MODES}, got {mode!r}")
-    if mode == "analytic-linear" and model.linear_params is None:
-        raise UnsupportedModel("closed-form averaged drift requires the linear family")
-    if mode == "estimated" and frozen_cfg is None:
+    if mode == "analytic-linear":
+        params = model.linear_params
+        if params is None:
+            raise UnsupportedModel("closed-form averaged drift requires the linear family")
+        return lambda x, mu: analytic_bbar_linear(params, x, mu.mean)
+    if frozen_cfg is None:
         raise InvalidParams("estimated mode requires a frozen-run configuration")
-    if mode == "user" and user_fn is None:
-        raise InvalidParams("user mode requires a drift function")
-    oracle = AveragedDriftOracle(
-        model, mode, frozen_cfg=frozen_cfg, quant=quant, user_fn=user_fn
-    )
-    if cache_path is not None and mode == "estimated" and os.path.exists(os.fspath(cache_path)):
+    oracle = AveragedDriftOracle(model, frozen_cfg, quant=quant)
+    if cache_path is not None and os.path.exists(os.fspath(cache_path)):
         oracle.load_cache(cache_path)
     return oracle

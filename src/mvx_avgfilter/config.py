@@ -15,14 +15,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import InvalidParams, ParseError, ValidationError
 from .experiments import validate_sweep_grid
 from .filtering import FILTER_KINDS, FilterConfig, get_functional
-from .model import LinearModelParams, ModelSpec, _require_finite, make_linear_model, validate_probe
+from .model import (
+    LinearModelParams, ModelSpec, _float, _require_finite, make_linear_model, validate_probe,
+)
 from .sde import FrozenRunConfig, SdeConfig, validate_stability
 
 # each command, with the sections it cannot run without
@@ -144,14 +145,6 @@ def _vector(accepts, convert, noun: str, length: Optional[int] = None):
             raise ParseError(f"key '{key}' must hold {noun}")
         return tuple(map(convert, value))
     return read
-
-
-def _float(value) -> float:
-    """float(value), with an integer beyond the float range read as +-inf, like 1e999."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
 
 
 _number = _scalar(_is_number, _float)

@@ -36,11 +36,19 @@ from .measure import MeasureSummary, dirac_summary
 from .streams import stream
 
 
+def _float(value) -> float:
+    """float(value), with an integer beyond the float range read as +-inf, like 1e999."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _require_finite(cfg, names) -> None:
     """Refuse NaN or infinity in the named number or vector fields (None is allowed)."""
     for name in names:
         value = getattr(cfg, name)
-        if value is not None and not all(map(math.isfinite, np.ravel(value))):
+        if value is not None and not all(math.isfinite(_float(v)) for v in np.ravel(value)):
             raise InvalidParams(f"{name} must be finite, got {value}")
 
 

@@ -79,10 +79,6 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
     atomic_write_chunks(path, (data,))
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_chunks(path, (text,))
-
-
 def write_csv(
     path: str, command: str, columns: Sequence[str], rows: Union[np.ndarray, Iterable[Sequence]]
 ) -> None:

@@ -8,6 +8,7 @@ frozen equation decouples, and ensemble-mean relaxation rate gamma - c3.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -33,9 +34,10 @@ from mvx_avgfilter.errors import (
     UnsupportedModel,
     ValidationError,
 )
-from mvx_avgfilter.measure import dirac_summary, summarize_points
+from mvx_avgfilter.measure import MeasureSummary, dirac_summary, summarize_points
 from mvx_avgfilter.model import LinearModelParams, ModelSpec, make_linear_model
 from mvx_avgfilter.sde import FrozenRunConfig, simulate_frozen
+from mvx_avgfilter.streams import derive_seed
 
 REF = LinearModelParams()
 
@@ -280,6 +282,21 @@ def test_oracle_analytic_linear_matches_closed_form():
     assert np.array_equal(out, want)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_closed_form_drift_is_analytic_bbar_linear_on_rows_and_on_a_point(n):
+    model = make_linear_model(REF, n=n, m=n, l=n, x0=[1.0] * n, z0=[1.0] * n)
+    drift = make_drift_oracle(model, mode="analytic-linear")
+    rows = np.random.default_rng(n).normal(size=(7, n))
+    mu = summarize_points(rows)
+    out = drift(rows, mu)
+    assert out.shape == (7, n)
+    assert out.tobytes() == analytic_bbar_linear(REF, rows, mu.mean).tobytes()
+    point = drift(rows[3], mu)
+    assert point.shape == (n,)
+    assert point.tobytes() == analytic_bbar_linear(REF, rows[3], mu.mean).tobytes()
+    assert point.tobytes() == out[3].tobytes()
+
+
 def test_oracle_analytic_rejects_nonlinear():
     base = ref_model()
     model = ModelSpec(
@@ -297,14 +314,6 @@ def test_oracle_estimated_mode_needs_frozen_cfg():
         make_drift_oracle(ref_model(), mode="estimated")
 
 
-def test_oracle_user_mode():
-    model = ref_model()
-    oracle = make_drift_oracle(model, mode="user", user_fn=lambda x, mu: -0.5 * x)
-    pts = np.array([[2.0], [-4.0]])
-    out = oracle(pts, summarize_points(pts))
-    assert np.array_equal(out, -0.5 * pts)
-
-
 def test_oracle_cache_hits_are_bit_exact():
     model = ref_model()
     oracle = make_drift_oracle(model, mode="estimated", frozen_cfg=frozen_cfg())
@@ -316,6 +325,21 @@ def test_oracle_cache_hits_are_bit_exact():
     assert oracle.stats["misses"] == 2
     assert oracle.stats["hits"] >= 2
     assert np.array_equal(first, second)
+
+
+def test_oracle_cell_is_estimate_bbar_at_its_centre_under_its_derived_seed():
+    model = ref_model()
+    cfg = frozen_cfg(M=100)
+    oracle = make_drift_oracle(model, mode="estimated", frozen_cfg=cfg, quant=0.05)
+    assert isinstance(oracle, AveragedDriftOracle)
+    mu = summarize_points(np.array([[0.12], [0.31]]))  # mean 0.215, second moment 0.05525
+    got = oracle(np.array([0.52]), mu)
+    key = (10, 4, 1)  # rint of 0.52, 0.215 and 0.05525 over the quant 0.05
+    assert list(oracle._cache) == [key]
+    centre = MeasureSummary(mean=np.array([4 * 0.05]), second_moment=1 * 0.05, n_points=1)
+    seeded = dataclasses.replace(cfg, seed=derive_seed(cfg.seed, "cell", *key))
+    want = estimate_bbar(model, np.array([10 * 0.05]), centre, seeded).value
+    assert got.tobytes() == want.tobytes()
 
 
 def test_oracle_quantization_snaps_nearby_points():

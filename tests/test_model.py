@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from mvx_avgfilter.errors import InvalidParams
 from mvx_avgfilter.measure import MeasureSummary
 from mvx_avgfilter.model import LinearModelParams, make_linear_model, probe_assumptions
+from mvx_avgfilter.sde import FrozenRunConfig, SdeConfig
 
 
 def point_summary(mean):
@@ -80,6 +81,22 @@ def test_linear_params_refuse_non_finite_coefficients(field, value):
 def test_make_linear_model_refuses_a_non_finite_start(x0, z0, field):
     with pytest.raises(InvalidParams, match=f"{field} must be finite"):
         make_linear_model(REF, n=2, m=2, l=2, x0=x0, z0=z0)
+
+
+@pytest.mark.parametrize(
+    "build,kwargs,field",
+    [
+        (SdeConfig, dict(epsilon=0.1, T=10**400, dt_macro=0.01, N=10), "T"),
+        (SdeConfig, dict(epsilon=0.1, T=1.0, dt_macro=0.01, N=10, delta_eps=10**400), "delta_eps"),
+        (FrozenRunConfig, dict(M=10, dt=0.01, burn_in=10**400, avg_window=1.0), "burn_in"),
+        (LinearModelParams, dict(gamma=10**400), "gamma"),
+        (LinearModelParams, dict(c3=-(10**400)), "c3"),
+    ],
+    ids=["T", "delta_eps", "burn_in", "gamma", "c3"],
+)
+def test_an_integer_beyond_the_float_range_is_refused_as_not_finite(build, kwargs, field):
+    with pytest.raises(InvalidParams, match=f"{field} must be finite"):
+        build(**kwargs)
 
 
 def test_a13_zero_b1_ignores_z():
