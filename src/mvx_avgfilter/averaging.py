@@ -408,16 +408,31 @@ class AveragedDriftOracle:
         atomic_write_chunks(os.fspath(path), (json.dumps(doc, indent=1),))
 
     def load_cache(self, path) -> None:
+        """Add the cells saved at ``path``, or none if any entry is malformed."""
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        if doc.get("digest") != self._digest():
+        if not isinstance(doc, dict) or doc.get("digest") != self._digest():
             raise ValidationError(
                 "drift cache was built for a different frozen-run configuration, "
                 "quantization, or model dimensions"
             )
+        if not isinstance(doc.get("entries"), list):
+            raise ValidationError("drift cache has no list of entries")
+        n, cells = self.model.n, {}
+        for i, entry in enumerate(doc["entries"]):
+            fields = entry if isinstance(entry, dict) else {}
+            key, value = fields.get("key"), fields.get("value")
+            if not (isinstance(key, list) and len(key) == 2 * n + 1
+                    and all(type(k) is int for k in key)
+                    and isinstance(value, list) and len(value) == n
+                    and all(type(v) is float and math.isfinite(v) for v in value)):
+                raise ValidationError(
+                    f"drift cache entry {i} needs a key of {2 * n + 1} integers and a "
+                    f"value of {n} finite floats, got {entry!r}"
+                )
+            cells[tuple(key)] = np.asarray(value, dtype=float)
         with self._lock:
-            for entry in doc["entries"]:
-                self._cache[tuple(entry["key"])] = np.asarray(entry["value"], dtype=float)
+            self._cache.update(cells)
 
 
 def make_drift_oracle(

@@ -92,6 +92,8 @@ def validate_sweep_grid(eps_grid, mc_reps: int, p_orders) -> None:
         raise InvalidParams(f"mc_reps >= 4 required, got {mc_reps}")
     if not p_orders or any(p < 1 for p in p_orders):
         raise InvalidParams("p_orders must be positive integers")
+    if len(set(p_orders)) != len(p_orders):
+        raise InvalidParams(f"p_orders must not repeat an order, got {list(p_orders)}")
 
 
 @dataclass(frozen=True)

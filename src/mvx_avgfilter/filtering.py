@@ -61,7 +61,9 @@ class ObservationPath:
 
     signal_law_trace feeds the measure argument of h and F; fast_law_trace
     (absent when the source run had no fast component) feeds the fast
-    equation's self-interaction when filtering the multiscale signal.
+    equation's self-interaction when filtering the multiscale signal.  Each
+    entry is the summary the source run's coefficients got at that time, bit
+    for bit; it reads its second moment from the run's path, kept alive.
     """
 
     times: np.ndarray
@@ -168,15 +170,6 @@ def get_functional(name: str) -> Callable[[np.ndarray, MeasureSummary], np.ndarr
 # ===== observations =====
 
 
-def _uniform_summary(points: np.ndarray) -> MeasureSummary:
-    """Equal-weight summary of an (N, d) array: ``w @ points`` with every w = 1/N.
-
-    The observation law traces are made this way, not by the unweighted
-    ``summarize_points``, whose plain average can differ in the last bit.
-    """
-    return summarize_points(points, np.full(points.shape[0], 1.0 / points.shape[0]))
-
-
 def _observation_noise(seed_v: int, n_obs: int, l_obs: int, dt: float) -> tuple:
     """normal_increments arguments of an observation record's noise dV."""
     return (seed_v, OBSERVATION_LABEL, n_obs, 1, l_obs, math.sqrt(dt))
@@ -208,7 +201,7 @@ def generate_observations(
 
     dY_k = dV_k + h(X_ref at t_k, empirical slow law at t_k) * dt on the
     signal's macro grid or an exact coarsening of it (dt an integer multiple
-    of the simulation step).
+    of the simulation step).  The law traces summarize the states as the run did.
     """
 
     n_particles = signal.slow.shape[1]
@@ -220,22 +213,17 @@ def generate_observations(
     stride = _stride(dt, sim_dt, len(signal.times) - 1)
     times = signal.times[::stride]
     n_obs = len(times) - 1
-    slow_trace = [_uniform_summary(points) for points in signal.slow[::stride]]
+    slow_trace = [summarize_points(points) for points in signal.slow[::stride]]
     fast_trace = None
     if signal.fast is not None:
-        fast_trace = [_uniform_summary(points) for points in signal.fast[::stride]]
+        fast_trace = [summarize_points(points) for points in signal.fast[::stride]]
 
-    h0 = np.asarray(model.h(signal.slow[0, reference_particle], slow_trace[0]))
-    l_obs = h0.shape[-1]
-    dv = normal_increments(*_observation_noise(seed_v, n_obs, l_obs, dt))[:, 0, :]
-    increments = np.empty((n_obs, l_obs))
-    for k in range(n_obs):
-        x_ref = signal.slow[k * stride, reference_particle]
-        h_k = np.asarray(model.h(x_ref, slow_trace[k]))
-        increments[k] = dv[k] + h_k * dt
+    x_ref = signal.slow[:-1:stride, reference_particle]
+    h = np.array([model.h(x, mu) for x, mu in zip(x_ref, slow_trace)], dtype=float)
+    dv = normal_increments(*_observation_noise(seed_v, n_obs, h.shape[-1], dt))[:, 0, :]
     return ObservationPath(
         times=times,
-        increments=increments,
+        increments=dv + h * dt,
         signal_law_trace=slow_trace,
         fast_law_trace=fast_trace,
         seed_v=seed_v,
@@ -419,7 +407,8 @@ def martingale_check(
     The exponential has conditional mean exactly 1 given any signal path, so
     the sample mean converges to 1 regardless of mean-field coupling.  Runs
     are simulated as particle ensembles in chunks of fixed size so the
-    result is deterministic for a given (mc_runs, sde_cfg, dt).
+    result is deterministic for a given (mc_runs, sde_cfg, dt).  h reads the
+    slow law each chunk's run used.
     """
 
     if mc_runs < 1000:
@@ -444,13 +433,13 @@ def martingale_check(
             sde_cfg, N=size, seed=derive_seed(sde_cfg.seed, "mart-chunk", c)
         )
         path = simulate_slow_fast(model, cfg_c)
-        h_probe = np.asarray(model.h(path.slow[0], _uniform_summary(path.slow[0])))
+        h_probe = np.asarray(model.h(path.slow[0], summarize_points(path.slow[0])))
         l_obs = h_probe.shape[-1]
         dv = normal_increments(cfg_c.seed, "mart-v", n_obs, size, l_obs, math.sqrt(dt))
         acc = np.zeros(size)
         for j in range(n_obs):
             points = path.slow[j * stride]
-            h_j = np.asarray(model.h(points, _uniform_summary(points)), dtype=float)
+            h_j = np.asarray(model.h(points, summarize_points(points)), dtype=float)
             acc += log_likelihood_increment(-h_j, dv[j], dt)
         vals = np.exp(acc)
         total += float(vals.sum())

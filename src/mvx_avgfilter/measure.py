@@ -2,17 +2,16 @@
 
 Particle paths are plain ``(N, d)`` arrays, one per grid time.  The law of a
 component enters coefficients and functionals only as a MeasureSummary (mean,
-second moment, particle count), made from those arrays in one pass by
-``summarize_points`` or, for a point mass, by ``dirac_summary``.  Resampling
-works on indices: ``systematic_resample_indices`` picks the offspring and the
-caller gathers its own arrays with them.
+second moment, particle count), made from those arrays by ``summarize_points``
+(the one rule runs and observation law traces share) or, for a point mass, by
+``dirac_summary``.  Resampling works on indices: ``systematic_resample_indices``
+picks the offspring and the caller gathers its own arrays with them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -49,10 +48,10 @@ class ParticleCloud:
 class MeasureSummary:
     """Moment summary of an empirical law; what coefficient functions consume.
 
-    second_moment is the full squared norm, sum_i w_i |x_i|^2. A summary made
-    by ``summarize_points`` without weights computes it on first read from the
-    points it was made from, so do not write to those points while the summary
-    is in use. Treat a summary as read-only.
+    second_moment is the mean full squared norm, sum_i |x_i|^2 / N. A summary
+    made by ``summarize_points`` computes it on first read from the points it
+    was made from, so do not write to those points while the summary is in
+    use. Treat a summary as read-only.
     """
 
     __slots__ = ("mean", "n_points", "_second", "_points")
@@ -78,27 +77,22 @@ class MeasureSummary:
         )
 
 
-def summarize_points(points: np.ndarray, weights: Optional[np.ndarray] = None) -> MeasureSummary:
-    """Summary straight from an (N, d) array with N >= 1.
+def summarize_points(points: np.ndarray) -> MeasureSummary:
+    """The summary of an (N, d) array with N >= 1, by the package's one rule.
 
-    With ``weights`` the moments are ``weights @ points`` and
-    ``weights @ |points_i|^2``.  Without them the mean is the plain average
-    and the second moment is computed on first read, from ``points`` itself:
-    do not write to ``points`` while the summary is in use.
+    The mean is the plain average.  The second moment is computed on first
+    read, from ``points`` itself: do not write to ``points`` while the summary
+    is in use.
     """
     if getattr(points, "ndim", None) != 2 or points.shape[0] < 1:
         raise InvalidParams(
             f"points must be a non-empty N x d array, got shape {np.shape(points)}"
         )
-    if weights is None:
-        # ndarray.mean's own arithmetic, without its Python wrapper
-        n = points.shape[0]
-        summary = MeasureSummary(np.add.reduce(points, axis=0) / n, None, n)
-        summary._points = points
-        return summary
-    mean = weights @ points
-    second = float(weights @ np.einsum("ij,ij->i", points, points))
-    return MeasureSummary(mean=mean, second_moment=second, n_points=points.shape[0])
+    # ndarray.mean's own arithmetic, without its Python wrapper
+    n = points.shape[0]
+    summary = MeasureSummary(np.add.reduce(points, axis=0) / n, None, n)
+    summary._points = points
+    return summary
 
 
 def dirac_summary(v) -> MeasureSummary:

@@ -282,13 +282,10 @@ def probe_assumptions(
     lhs = np.empty(sample_count)
     for i in range(sample_count):
         mu = dirac_summary(mus[i, 0])
-        nu1 = dirac_summary(nus[i, 0])
         nu2 = dirac_summary(nus[i, 1])
         x = xs[i, 0]
-        db2 = np.asarray(model.b2(x, mu, zs[i, 0], nu1)) - np.asarray(model.b2(x, mu, zs[i, 1], nu2))
-        ds2 = _sigma_rows(model.sigma2(x, mu, zs[i, 0], nu1), 1, m)[0] - _sigma_rows(
-            model.sigma2(x, mu, zs[i, 1], nu2), 1, m
-        )[0]
+        db2 = b2a[i] - np.asarray(model.b2(x, mu, zs[i, 1], nu2))
+        ds2 = s2a[i] - _sigma_rows(model.sigma2(x, mu, zs[i, 1], nu2), 1, m)[0]
         lhs[i] = 2.0 * float(dz[i] @ db2) + (2 * p - 1) * float(np.sum(ds2 * ds2))
 
     usable = dz2 > 1e-12

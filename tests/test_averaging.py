@@ -9,6 +9,7 @@ frozen equation decouples, and ensemble-mean relaxation rate gamma - c3.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -422,6 +423,39 @@ def test_oracle_persistence_rejects_mismatched_cfg(tmp_path):
         make_drift_oracle(
             model, mode="estimated", frozen_cfg=frozen_cfg(seed=31), cache_path=path
         )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"key": [0, 0, 1], "value": [float("nan")]},
+        {"key": [0, 0, 1], "value": [float("inf")]},
+        {"key": [1, 2], "value": [5.0, 6.0]},  # an n = 2 cell in an n = 1 cache
+        {"key": [0, 0, 1], "value": [5.0, 6.0]},
+        {"key": [0, 0.5, 1], "value": [0.5]},
+        {"key": [True, 0, 1], "value": [0.5]},
+        {"key": [0, 0, 1], "value": ["0.5"]},
+        {"key": [0, 0, 1]},
+        [[0, 0, 1], [0.5]],
+    ],
+)
+def test_oracle_cache_refuses_malformed_entries(tmp_path, bad):
+    model = ref_model()
+    path = tmp_path / "cache.json"
+    make_drift_oracle(model, mode="estimated", frozen_cfg=frozen_cfg()).save_cache(path)
+    doc = json.loads(path.read_text())
+    doc["entries"] = [{"key": [0, 0, 0], "value": [0.5]}, bad]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="drift cache entry 1 needs a key of 3 integers"):
+        make_drift_oracle(model, mode="estimated", frozen_cfg=frozen_cfg(), cache_path=path)
+    oracle = make_drift_oracle(model, mode="estimated", frozen_cfg=frozen_cfg())
+    with pytest.raises(ValidationError):
+        oracle.load_cache(path)
+    assert oracle._cache == {}  # nothing from a refused file is kept
+    doc["entries"] = {"key": [0, 0, 0], "value": [0.5]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="no list of entries"):
+        oracle.load_cache(path)
 
 
 def test_oracle_thread_safety():

@@ -151,6 +151,12 @@ def test_validation_error_empty_p_orders():
     assert "p_orders" in str(err.value)
 
 
+def test_validation_error_repeated_p_orders():
+    sweep = {"eps_grid": [0.1, 0.05], "mc_reps": 4, "p_orders": [1, 1]}
+    with pytest.raises(ValidationError, match=r"p_orders must not repeat an order, got \[1, 1\]"):
+        parse_config(cfg_text(command="sweep-averaging", sweep=sweep))
+
+
 @pytest.mark.parametrize(
     "probe,message",
     [

@@ -92,6 +92,13 @@ def test_sweep_config_validation():
         SweepConfig(eps_grid=(0.1, 0.05), mc_reps=4, base_sde=ok, p_orders=())
 
 
+def test_sweep_config_refuses_repeated_p_orders():
+    # a repeated order would compute and write every row of that order twice
+    ok = base_sde()
+    with pytest.raises(InvalidParams, match=r"p_orders must not repeat an order, got \[1, 2, 1\]"):
+        SweepConfig(eps_grid=(0.1, 0.05), mc_reps=4, base_sde=ok, p_orders=(1, 2, 1))
+
+
 def test_sweep_runs_the_substeps_it_picks_at_a_tie():
     # dt*gamma/(0.25*eps) = 70.0 exactly: the sweep picks 70 and the simulator must accept 70
     model = ref_model(LinearModelParams(gamma=3.5))

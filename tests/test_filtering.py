@@ -111,6 +111,11 @@ def test_coarsened_observation_grid():
     assert len(obs.increments) == len(obs.times) - 1
     assert len(obs.signal_law_trace) == len(obs.times)
     assert len(obs.fast_law_trace) == len(obs.times)
+    dv = normal_increments(5, "observation", len(obs.increments), 1, 1, math.sqrt(0.05))
+    for k, increment in enumerate(obs.increments):
+        # the reference: dY_k = dV_k + h(X_ref at t_k, slow law at t_k) * dt, record by record
+        h_k = np.asarray(model.h(path.slow[5 * k, 0], obs.signal_law_trace[k]))
+        assert increment.tobytes() == (dv[k, 0] + h_k * 0.05).tobytes()
 
 
 def test_observation_determinism():

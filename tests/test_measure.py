@@ -25,35 +25,27 @@ def uniform(n):
     return np.full(n, 1.0 / n)
 
 
-# ===== weighted moments =====
+# ===== moments =====
 
 
 def test_summarize_symmetric_pair():
-    s = summarize_points(col([-1.0, 1.0]), uniform(2))
+    s = summarize_points(col([-1.0, 1.0]))
     assert s.mean == pytest.approx(0.0, abs=0.0)
     assert s.second_moment == pytest.approx(1.0, abs=0.0)
     assert s.n_points == 2
 
 
 def test_summarize_single_point():
-    s = summarize_points(col([3.0]), uniform(1))
+    s = summarize_points(col([3.0]))
     assert float(s.mean[0]) == 3.0
     assert s.second_moment == 9.0
-
-
-def test_summarize_weighted():
-    s = summarize_points(col([0.0, 2.0]), np.array([0.75, 0.25]))
-    assert float(s.mean[0]) == pytest.approx(0.5)
-    assert s.second_moment == pytest.approx(1.0)
 
 
 def test_second_moment_dominates_mean_sq():
     rng = np.random.default_rng(7)
     for _ in range(20):
         pts = rng.normal(size=(17, 3))
-        w = rng.random(17)
-        w /= w.sum()
-        s = summarize_points(pts, w)
+        s = summarize_points(pts)
         assert s.second_moment >= float(s.mean @ s.mean) - 1e-12
 
 
@@ -84,13 +76,10 @@ def test_lazy_second_moment_is_the_eager_einsum(shape):
     assert s.n_points == shape[0]
 
 
-@pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("shape", [(5,), (2, 3, 1), (0, 2), (0, 1)])
-def test_summarize_points_refuses_non_2d_or_empty_points(shape, weighted):
-    pts = np.ones(shape)
-    weights = np.full(shape[0], 1.0 / max(shape[0], 1)) if weighted else None
+def test_summarize_points_refuses_non_2d_or_empty_points(shape):
     with pytest.raises(InvalidParams, match="non-empty N x d"):
-        summarize_points(pts, weights)
+        summarize_points(np.ones(shape))
 
 
 # ===== systematic_resample_indices =====

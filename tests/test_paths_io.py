@@ -158,16 +158,39 @@ def test_law_trace_equals_cloud_summaries_bitwise(n_particles):
     model = linear(2)
     signal = simulate_slow_fast(model, sde_cfg(N=n_particles))
     obs = generate_observations(model, signal, 3, 0.02, seed_v=5)
-    w = np.full(n_particles, 1.0 / n_particles)
-    for k, summary in enumerate(obs.signal_law_trace):
-        points = signal.slow[2 * k]
-        assert np.array_equal(summary.mean, w @ points)
-        assert summary.second_moment == float(w @ np.einsum("ij,ij->i", points, points))
-        assert summary.n_points == n_particles
-    for k, summary in enumerate(obs.fast_law_trace):
-        points = signal.fast[2 * k]
-        assert np.array_equal(summary.mean, w @ points)
-        assert summary.second_moment == float(w @ np.einsum("ij,ij->i", points, points))
+    for trace, states in ((obs.signal_law_trace, signal.slow), (obs.fast_law_trace, signal.fast)):
+        for k, summary in enumerate(trace):
+            want = summarize_points(states[2 * k])
+            assert summary.mean.tobytes() == want.mean.tobytes()
+            assert summary.second_moment == want.second_moment
+            assert summary.n_points == n_particles
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_law_traces_are_the_summaries_the_signal_run_used(d):
+    base = linear(d)
+    seen_mu, seen_nu = [], []
+
+    def b1(x, mu, z):
+        seen_mu.append(mu)
+        return base.b1(x, mu, z)
+
+    def b2(x, mu, z, nu):
+        seen_nu.append(nu)  # once per micro-substep
+        return base.b2(x, mu, z, nu)
+
+    model = dataclasses.replace(base, b1=b1, b2=b2)
+    cfg = sde_cfg(N=37)
+    signal = simulate_slow_fast(model, cfg)
+    obs = generate_observations(model, signal, 3, cfg.dt_macro, seed_v=5)
+    seen_nu = seen_nu[:: cfg.micro_substeps]
+    for trace, seen in ((obs.signal_law_trace, seen_mu), (obs.fast_law_trace, seen_nu)):
+        # the run summarizes the state each step starts from: all but the last
+        for summary, used in zip(trace[:-1], seen, strict=True):
+            assert summary.mean.tobytes() == used.mean.tobytes()
+            assert np.float64(summary.second_moment).tobytes() == np.float64(
+                used.second_moment
+            ).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(7, 1), (200, 1), (1001, 1), (37, 2), (400, 3)])

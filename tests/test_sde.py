@@ -296,9 +296,9 @@ def test_frozen_run_summarizes_each_state_once(monkeypatch):
     want = simulate_frozen(model, np.ones(1), mu, cfg).fast
     seen = []
 
-    def counting(points, weights=None):
+    def counting(points):
         seen.append(points)
-        return summarize_points(points, weights)
+        return summarize_points(points)
 
     monkeypatch.setattr(sde, "summarize_points", counting)
     path = simulate_frozen(model, np.ones(1), mu, cfg)
