@@ -56,7 +56,11 @@ __all__ = [
 ]
 
 
-def integrated_autocorr_time(series: np.ndarray, c: float = 6.0) -> float:
+# Sokal's window constant: the sum stops at the first lag w >= SOKAL_C * tau
+SOKAL_C = 6.0
+
+
+def integrated_autocorr_time(series: np.ndarray) -> float:
     """Sokal-windowed integrated autocorrelation time of a 1-D series.
 
     Returns tau_int in units of sample spacing (0.5 for white noise), capped
@@ -78,7 +82,7 @@ def integrated_autocorr_time(series: np.ndarray, c: float = 6.0) -> float:
     tau = 0.5
     for w in range(1, n):
         tau = 0.5 + float(rho[1 : w + 1].sum())
-        if w >= c * tau:
+        if w >= SOKAL_C * tau:
             break
     return float(min(max(tau, 0.5), n / 4.0))
 
@@ -339,7 +343,7 @@ class AveragedDriftOracle:
         n, q = self.model.n, self.quant
         x_rep = np.array(key[:n], dtype=float) * q
         mu_rep = MeasureSummary(
-            mean=np.array(key[n:-1], dtype=float) * q, second_moment=float(key[-1] * q), n_points=1
+            mean=np.array(key[n:-1], dtype=float) * q, second_moment=float(key[-1] * q)
         )
         seed = derive_seed(self.frozen_cfg.seed, "cell", *key)
         cfg = dataclasses.replace(self.frozen_cfg, seed=seed)
@@ -440,15 +444,14 @@ def make_drift_oracle(
     mode: str,
     frozen_cfg: Optional[FrozenRunConfig] = None,
     quant: float = 0.05,
-    cache_path=None,
 ) -> Callable:
     """The averaged drift of ``model``, a callable (points, mu-summary) -> rows.
 
     Any callable of that signature is a drift for every consumer
     (``simulate_averaged``, ``coupled_pair``, the averaged filter arm and the
     sweeps).  "analytic-linear" is :func:`analytic_bbar_linear` (linear family
-    only); "estimated" is an :class:`AveragedDriftOracle`, loaded from
-    ``cache_path`` if that file exists.
+    only); "estimated" is a new, empty :class:`AveragedDriftOracle`, whose
+    cells persist through its ``save_cache`` and ``load_cache``.
     """
 
     if mode not in _MODES:
@@ -460,7 +463,4 @@ def make_drift_oracle(
         return lambda x, mu: analytic_bbar_linear(params, x, mu.mean)
     if frozen_cfg is None:
         raise InvalidParams("estimated mode requires a frozen-run configuration")
-    oracle = AveragedDriftOracle(model, frozen_cfg, quant=quant)
-    if cache_path is not None and os.path.exists(os.fspath(cache_path)):
-        oracle.load_cache(cache_path)
-    return oracle
+    return AveragedDriftOracle(model, frozen_cfg, quant=quant)

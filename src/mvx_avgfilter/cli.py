@@ -159,7 +159,7 @@ def run_command(cfg: RunConfig, threads: int = 1) -> RunManifest:
             if command == "sweep-averaging":
                 report = averaging_error_sweep(model, drift, sweep)
             else:
-                report = filter_error_sweep(model, drift, cfg.sweep.functional, sweep)
+                report = filter_error_sweep(model, drift, sweep)
         table = list(SWEEP_COLUMNS), sweep_rows(report), sweep_json(report)
 
     columns, rows, payload = table

@@ -362,16 +362,16 @@ def averaging_error_sweep(model: ModelSpec, drift, sweep: SweepConfig) -> SweepR
 def filter_error_sweep(
     model: ModelSpec,
     drift,
-    functional: str,
     sweep: SweepConfig,
     arms: Tuple[str, str] = FILTER_KINDS,
 ) -> SweepReport:
     """Mean and SE of |pi_a(F) - pi_b(F)|^p, time averaged, per epsilon.
 
-    One observation record per rep, generated from a multiscale signal run;
-    both filter arms consume that same record, and both reuse the rep's
-    seed so their own particle noise is common as well.  By default the
-    arms are the multiscale filter and the averaged one.
+    F is ``sweep.filter_cfg.functional``, and both arms run under
+    ``sweep.filter_cfg``.  One observation record per rep, generated from a
+    multiscale signal run; both filter arms consume that same record, and
+    both reuse the rep's seed so their own particle noise is common as well.
+    By default the arms are the multiscale filter and the averaged one.
     """
     if sweep.filter_cfg is None:
         raise InvalidParams("filter_error_sweep needs sweep.filter_cfg")
@@ -380,7 +380,7 @@ def filter_error_sweep(
     if "averaged" in arms and drift is None:
         raise InvalidParams("averaged filter arm needs a drift oracle")
     t0 = time.perf_counter()
-    fcfg = dataclasses.replace(sweep.filter_cfg, functional=functional)
+    fcfg = sweep.filter_cfg
     job_cfg = _job_configs(sweep, model, "filt")
     seed0 = sweep.base_sde.seed
 
@@ -417,7 +417,7 @@ def filter_error_sweep(
         }
 
     results = _run_jobs_ahead(sweep, job, plan)
-    digest = _config_digest("filter", sweep, functional=functional, arms=arms)
+    digest = _config_digest("filter", sweep, functional=fcfg.functional, arms=arms)
     return _assemble_report("filter", sweep, results, digest, t0)
 
 

@@ -51,6 +51,9 @@ OBSERVATION_LABEL = "observation"
 FILTER_SLOW_LABEL = "filter-slow"
 FILTER_FAST_LABEL = "filter-fast"
 
+# runs per simulated ensemble in martingale_check
+MARTINGALE_CHUNK = 2000
+
 # signal models the filter can propagate under: the multiscale pair or its average
 FILTER_KINDS = ("multiscale", "averaged")
 
@@ -368,6 +371,8 @@ def run_filter(
         else:
             x = _slow_step(model, x, mu_k, drift(x, mu_k), dw_slow[k], dt)
         _check_finite(x, "filter particles", k + 1, times[k + 1])
+        if multiscale:
+            _check_finite(z, "filter fast state", k + 1, times[k + 1])
 
         fv = np.asarray(f_func(x, obs.signal_law_trace[k + 1]), dtype=float)
         # logw is unchanged since u and s were taken from it: this is _record_pi's pi
@@ -399,27 +404,24 @@ def martingale_check(
     mc_runs: int,
     sde_cfg: SdeConfig,
     dt: float,
-    return_se: bool = False,
-    chunk: int = 2000,
-):
-    """Monte Carlo mean of exp(-int h dV - int |h|^2 ds / 2); must be ~1.
+) -> tuple:
+    """(mean, se): the Monte Carlo mean of exp(-int h dV - int |h|^2 ds / 2),
+    which must be ~1, and its standard error.
 
     The exponential has conditional mean exactly 1 given any signal path, so
     the sample mean converges to 1 regardless of mean-field coupling.  Runs
-    are simulated as particle ensembles in chunks of fixed size so the
+    are simulated as particle ensembles of MARTINGALE_CHUNK runs each, so the
     result is deterministic for a given (mc_runs, sde_cfg, dt).  h reads the
-    slow law each chunk's run used.
+    slow law each chunk's run used, once per observation time.
     """
 
     if mc_runs < 1000:
         raise InvalidParams(f"need mc_runs >= 1000, got {mc_runs}")
-    if chunk < 2:
-        raise InvalidParams(f"need chunk >= 2 runs per ensemble, got {chunk}")
     stride = _stride(dt, sde_cfg.dt_macro, sde_cfg.n_steps)
     n_obs = sde_cfg.n_steps // stride
 
-    sizes = [chunk] * (mc_runs // chunk)
-    rem = mc_runs % chunk
+    sizes = [MARTINGALE_CHUNK] * (mc_runs // MARTINGALE_CHUNK)
+    rem = mc_runs % MARTINGALE_CHUNK
     if rem == 1:
         sizes[-1] += 1
     elif rem:
@@ -433,13 +435,13 @@ def martingale_check(
             sde_cfg, N=size, seed=derive_seed(sde_cfg.seed, "mart-chunk", c)
         )
         path = simulate_slow_fast(model, cfg_c)
-        h_probe = np.asarray(model.h(path.slow[0], summarize_points(path.slow[0])))
-        l_obs = h_probe.shape[-1]
-        dv = normal_increments(cfg_c.seed, "mart-v", n_obs, size, l_obs, math.sqrt(dt))
         acc = np.zeros(size)
-        for j in range(n_obs):
-            points = path.slow[j * stride]
+        for j, points in enumerate(path.slow[:-1:stride]):
             h_j = np.asarray(model.h(points, summarize_points(points)), dtype=float)
+            if j == 0:  # the first h gives the sensor width of the noise block
+                dv = normal_increments(
+                    cfg_c.seed, "mart-v", n_obs, size, h_j.shape[-1], math.sqrt(dt)
+                )
             acc += log_likelihood_increment(-h_j, dv[j], dt)
         vals = np.exp(acc)
         total += float(vals.sum())
@@ -448,7 +450,7 @@ def martingale_check(
     mean = total / count
     var = max(total_sq - count * mean * mean, 0.0) / (count - 1)
     se = math.sqrt(var / count)
-    return (mean, se) if return_se else mean
+    return mean, se
 
 
 # ===== Kalman oracle for the degenerate linear-Gaussian sub-case =====
@@ -467,7 +469,6 @@ def make_linear_sensor_model(
     return dataclasses.replace(
         base,
         h=lambda x, mu: gain * x,
-        h_max=None,
         h_linear_gain=gain,
     )
 

@@ -1,8 +1,8 @@
 """Empirical measures.
 
 Particle paths are plain ``(N, d)`` arrays, one per grid time.  The law of a
-component enters coefficients and functionals only as a MeasureSummary (mean,
-second moment, particle count), made from those arrays by ``summarize_points``
+component enters coefficients and functionals only as a MeasureSummary (mean
+and second moment), made from those arrays by ``summarize_points``
 (the one rule runs and observation law traces share) or, for a point mass, by
 ``dirac_summary``.  Resampling works on indices: ``systematic_resample_indices``
 picks the offspring and the caller gathers its own arrays with them.
@@ -54,11 +54,10 @@ class MeasureSummary:
     use. Treat a summary as read-only.
     """
 
-    __slots__ = ("mean", "n_points", "_second", "_points")
+    __slots__ = ("mean", "_second", "_points")
 
-    def __init__(self, mean: np.ndarray, second_moment: float, n_points: int):
+    def __init__(self, mean: np.ndarray, second_moment: float):
         self.mean = mean
-        self.n_points = n_points
         self._second = second_moment
         self._points = None
 
@@ -71,10 +70,7 @@ class MeasureSummary:
         return self._second
 
     def __repr__(self) -> str:
-        return (
-            f"MeasureSummary(mean={self.mean!r}, second_moment={self.second_moment!r}, "
-            f"n_points={self.n_points!r})"
-        )
+        return f"MeasureSummary(mean={self.mean!r}, second_moment={self.second_moment!r})"
 
 
 def summarize_points(points: np.ndarray) -> MeasureSummary:
@@ -89,8 +85,7 @@ def summarize_points(points: np.ndarray) -> MeasureSummary:
             f"points must be a non-empty N x d array, got shape {np.shape(points)}"
         )
     # ndarray.mean's own arithmetic, without its Python wrapper
-    n = points.shape[0]
-    summary = MeasureSummary(np.add.reduce(points, axis=0) / n, None, n)
+    summary = MeasureSummary(np.add.reduce(points, axis=0) / points.shape[0], None)
     summary._points = points
     return summary
 
@@ -98,7 +93,7 @@ def summarize_points(points: np.ndarray) -> MeasureSummary:
 def dirac_summary(v) -> MeasureSummary:
     """Summary of a point mass at v."""
     mean = np.asarray(v, dtype=np.float64).reshape(-1)
-    return MeasureSummary(mean=mean, second_moment=float(mean @ mean), n_points=1)
+    return MeasureSummary(mean=mean, second_moment=float(mean @ mean))
 
 
 def systematic_resample_indices(weights: np.ndarray, u: float) -> np.ndarray:

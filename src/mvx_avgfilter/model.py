@@ -91,7 +91,6 @@ class ModelSpec:
     b2: Callable[[np.ndarray, MeasureSummary, np.ndarray, MeasureSummary], np.ndarray]
     sigma2: Callable[[np.ndarray, MeasureSummary, np.ndarray, MeasureSummary], np.ndarray]
     h: Callable[[np.ndarray, MeasureSummary], np.ndarray]
-    h_max: Optional[float] = None
     linear_params: Optional[LinearModelParams] = None
     # set only when h(x, mu) = h_linear_gain * x; unlocks the Kalman oracle
     h_linear_gain: Optional[float] = None
@@ -177,7 +176,6 @@ def make_linear_model(
         b2=b2,
         sigma2=sigma2,
         h=h,
-        h_max=2.0 * math.sqrt(l),
         linear_params=params,
     )
     _require_finite(spec, ("x0", "z0"))
@@ -228,16 +226,12 @@ def probe_assumptions(
     n, m = model.n, model.m
     gen = stream(seed, "assumption-probe")
 
-    # fixed draw layout per sample: x pair, mu-mean pair, z pair, nu-mean pair
-    xs = np.empty((sample_count, 2, n))
-    mus = np.empty((sample_count, 2, n))
-    zs = np.empty((sample_count, 2, m))
-    nus = np.empty((sample_count, 2, m))
-    for i in range(sample_count):
-        xs[i] = gen.uniform(lo, hi, size=(2, n))
-        mus[i] = gen.uniform(lo, hi, size=(2, n))
-        zs[i] = gen.uniform(lo, hi, size=(2, m))
-        nus[i] = gen.uniform(lo, hi, size=(2, m))
+    # one row of draws per sample, laid out as x pair, mu-mean pair, z pair, nu-mean pair
+    draws = gen.uniform(lo, hi, size=(sample_count, 4 * n + 4 * m))
+    xs, mus, zs, nus = (
+        block.reshape(sample_count, 2, -1)
+        for block in np.split(draws, [2 * n, 4 * n, 4 * n + 2 * m], axis=1)
+    )
 
     def batch_eval(which: int):
         """Coefficient values at the sample states on side `which` of each pair."""

@@ -21,11 +21,12 @@ length; the frozen run takes its block the same way, one step a group.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import weakref
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -39,6 +40,9 @@ STABILITY_CAP = 0.25
 SLOW_LABEL = "signal-slow"
 FAST_LABEL = "signal-fast"
 FROZEN_LABEL = "frozen"
+
+# the dissipativity probe's sample pairs, box half-width and stream seed
+PROBE_SAMPLES, PROBE_BOX, PROBE_SEED = 64, 1.0, 0
 
 
 @dataclass(frozen=True)
@@ -122,15 +126,16 @@ class PathEnsemble:
     arrays, one row per grid time.  ``fast`` is None for averaged runs and
     ``aux`` is set only by :func:`simulate_auxiliary`.  Row k of an array is
     the ensemble at ``times[k]``; its law reaches the coefficients only as a
-    :class:`MeasureSummary` of that row.  ``noise_tag`` records the stream identifiers
-    needed to regenerate the driving increments bit-exactly.
+    :class:`MeasureSummary` of that row.  ``config`` is the :class:`SdeConfig`
+    or :class:`FrozenRunConfig` of the run that made the path; with the run's
+    stream labels it fixes the driving increments bit for bit.
     """
 
     times: np.ndarray
     slow: np.ndarray
     fast: Optional[np.ndarray] = None
     aux: Optional[np.ndarray] = None
-    noise_tag: dict = field(default_factory=dict)
+    config: Union[SdeConfig, FrozenRunConfig, None] = None
 
     def __post_init__(self):
         for name in ("slow", "fast", "aux"):
@@ -153,22 +158,22 @@ class PathEnsemble:
         return [ParticleCloud(p) for p in self.slow]
 
 
-def estimate_dissipativity(
-    model: ModelSpec, samples: int = 64, box: float = 1.0, seed: int = 0
-) -> float:
+def estimate_dissipativity(model: ModelSpec) -> float:
     """Estimate the contraction rate of the fast drift in its own variable.
 
-    Returns max over sampled pairs of -<dz, b2(x,mu,z1,nu)-b2(x,mu,z2,nu)>/|dz|^2
-    with everything but z shared.  Exact (= gamma) for the linear family; a
-    nonpositive value means no contraction was detected and the micro-step
-    stability cap is inapplicable.
+    Returns max over PROBE_SAMPLES pairs sampled from [-PROBE_BOX, PROBE_BOX]
+    of -<dz, b2(x,mu,z1,nu)-b2(x,mu,z2,nu)>/|dz|^2 with everything but z
+    shared.  Exact (= gamma) for the linear family; a nonpositive value means
+    no contraction was detected and the micro-step stability cap is
+    inapplicable.
     """
 
     from .streams import stream
 
-    rng = stream(seed, "dissipativity-probe")
+    rng = stream(PROBE_SEED, "dissipativity-probe")
+    box = PROBE_BOX
     worst = -math.inf
-    for _ in range(samples):
+    for _ in range(PROBE_SAMPLES):
         x = rng.uniform(-box, box, size=model.n)
         z1 = rng.uniform(-box, box, size=model.m)
         z2 = rng.uniform(-box, box, size=model.m)
@@ -325,17 +330,6 @@ def _tile_state(v: np.ndarray, count: int) -> np.ndarray:
     return np.tile(v, (count, 1))
 
 
-def _noise_tag(cfg: SdeConfig, labels: Sequence[str]) -> dict:
-    return {
-        "seed": cfg.seed,
-        "epsilon": cfg.epsilon,
-        "dt_macro": cfg.dt_macro,
-        "micro_substeps": cfg.micro_substeps,
-        "N": cfg.N,
-        "labels": tuple(labels),
-    }
-
-
 def _slow_noise(model: ModelSpec, cfg: SdeConfig, label: str, count: int) -> tuple:
     """normal_increments arguments of a slow block of ``count`` particles
     under ``label``, one row per macro step."""
@@ -400,12 +394,7 @@ def simulate_slow_fast(
         slow[k + 1], fast[k + 1] = x, z
     _check_finite(x, "slow state", n_steps, times[n_steps])
     _check_finite(z, "fast state", n_steps, times[n_steps])
-    return PathEnsemble(
-        times=times,
-        slow=slow,
-        fast=fast,
-        noise_tag=_noise_tag(cfg, (SLOW_LABEL, FAST_LABEL)),
-    )
+    return PathEnsemble(times=times, slow=slow, fast=fast, config=cfg)
 
 
 def simulate_frozen(
@@ -451,14 +440,8 @@ def simulate_frozen(
         else:
             _check_finite(z, "frozen fast state", k + 1, times[k + 1])
         fast[k + 1] = z
-    tag = {
-        "seed": cfg.seed,
-        "dt": cfg.dt,
-        "M": cfg.M,
-        "labels": (FROZEN_LABEL,),
-    }
     slow = np.broadcast_to(x_frozen, (n_steps + 1,) + x_frozen.shape)
-    return PathEnsemble(times=times, slow=slow, fast=fast, noise_tag=tag)
+    return PathEnsemble(times=times, slow=slow, fast=fast, config=cfg)
 
 
 def simulate_averaged(
@@ -489,7 +472,7 @@ def simulate_averaged(
         x = _slow_step(model, x, mu, drift(x, mu), _dw_slow[k], dt)
         slow[k + 1] = x
     _check_finite(x, "averaged slow state", n_steps, times[n_steps])
-    return PathEnsemble(times=times, slow=slow, noise_tag=_noise_tag(cfg, (SLOW_LABEL,)))
+    return PathEnsemble(times=times, slow=slow, config=cfg)
 
 
 def coupled_pair(
@@ -515,27 +498,28 @@ def simulate_auxiliary(model: ModelSpec, slow_path: PathEnsemble, cfg: SdeConfig
     Restart points k*delta_eps are rounded to the macro grid; at each restart
     the auxiliary state is reset to the stored fast cloud and the slow input
     (and its law) are pinned until the next restart.  The driving increments
-    are regenerated from the noise tag, so away from the frozen inputs this
-    is the same discrete dynamics as the original run.
+    are regenerated from the path's config, which ``cfg`` must equal in every
+    field but delta_eps, so away from the frozen inputs this is the same
+    discrete dynamics as the original run.
     """
 
     if cfg.delta_eps is None:
         raise MissingDelta("delta_eps is required for the auxiliary construction")
-    tag = slow_path.noise_tag
-    for key in ("seed", "epsilon", "dt_macro", "micro_substeps", "N"):
-        if key not in tag or getattr(cfg, key) != tag[key]:
-            raise GridMismatch(
-                f"config field {key}={getattr(cfg, key)!r} does not match the "
-                f"ensemble noise tag {tag.get(key)!r}"
-            )
-    if slow_path.fast is None:
-        raise GridMismatch("ensemble has no fast path to restart from")
     n_steps = cfg.n_steps
     if n_steps != len(slow_path.times) - 1:
         raise GridMismatch(
             f"config has {n_steps} macro steps but the ensemble path has "
             f"{len(slow_path.times) - 1}"
         )
+    made_by = slow_path.config
+    if not (isinstance(made_by, SdeConfig)
+            and dataclasses.replace(made_by, delta_eps=cfg.delta_eps) == cfg):
+        raise GridMismatch(
+            f"config {cfg!r} differs from the ensemble's run config {made_by!r} "
+            "in a field other than delta_eps"
+        )
+    if slow_path.fast is None:
+        raise GridMismatch("ensemble has no fast path to restart from")
 
     times = slow_path.times
     seg = max(1, int(round(cfg.delta_eps / cfg.dt_macro)))
@@ -561,5 +545,5 @@ def simulate_auxiliary(model: ModelSpec, slow_path: PathEnsemble, cfg: SdeConfig
         slow=slow_path.slow,
         fast=slow_path.fast,
         aux=aux,
-        noise_tag=dict(tag, delta_eps=cfg.delta_eps),
+        config=cfg,
     )

@@ -157,7 +157,7 @@ def test_06_girsanov_martingale():
     cfg = SdeConfig(
         epsilon=0.1, T=1.0, dt_macro=1e-3, micro_substeps=1, N=2, seed=106
     )
-    mean, se = martingale_check(ref_model(), 10_000, cfg, dt=1e-3, return_se=True)
+    mean, se = martingale_check(ref_model(), 10_000, cfg, dt=1e-3)
     ok = abs(mean - 1.0) <= 0.05
     report(6, "exponential martingale mean", ok, f"mean={mean:.4f} se={se:.4f}")
     assert ok
@@ -246,7 +246,7 @@ def test_09_filter_error_sweep():
         p_orders=(1,),
         filter_cfg=FilterConfig(Nf=2000, resample_threshold=0.5, functional="tanh", p=1),
     )
-    rep = filter_error_sweep(model, drift, "tanh", sweep)
+    rep = filter_error_sweep(model, drift, sweep)
     elapsed = time.perf_counter() - t0
     by_eps = {r.eps: r for r in rep.rows}
     pooled = math.hypot(by_eps[0.1].std_error, by_eps[0.02].std_error)

@@ -337,7 +337,7 @@ def test_oracle_cell_is_estimate_bbar_at_its_centre_under_its_derived_seed():
     got = oracle(np.array([0.52]), mu)
     key = (10, 4, 1)  # rint of 0.52, 0.215 and 0.05525 over the quant 0.05
     assert list(oracle._cache) == [key]
-    centre = MeasureSummary(mean=np.array([4 * 0.05]), second_moment=1 * 0.05, n_points=1)
+    centre = MeasureSummary(mean=np.array([4 * 0.05]), second_moment=1 * 0.05)
     seeded = dataclasses.replace(cfg, seed=derive_seed(cfg.seed, "cell", *key))
     want = estimate_bbar(model, np.array([10 * 0.05]), centre, seeded).value
     assert got.tobytes() == want.tobytes()
@@ -406,7 +406,8 @@ def test_oracle_persistence_round_trip(tmp_path):
     va = a(pts, mu)
     a.save_cache(path)
 
-    b = make_drift_oracle(model, mode="estimated", frozen_cfg=cfg, cache_path=path)
+    b = make_drift_oracle(model, mode="estimated", frozen_cfg=cfg)
+    b.load_cache(path)
     vb = b(pts, mu)
     assert np.array_equal(va, vb)
     assert b.stats["misses"] == 0
@@ -419,10 +420,9 @@ def test_oracle_persistence_rejects_mismatched_cfg(tmp_path):
     a = make_drift_oracle(model, mode="estimated", frozen_cfg=frozen_cfg(seed=30))
     a(np.array([[0.0]]), dirac_summary([0.0]))
     a.save_cache(path)
+    b = make_drift_oracle(model, mode="estimated", frozen_cfg=frozen_cfg(seed=31))
     with pytest.raises(ValidationError):
-        make_drift_oracle(
-            model, mode="estimated", frozen_cfg=frozen_cfg(seed=31), cache_path=path
-        )
+        b.load_cache(path)
 
 
 @pytest.mark.parametrize(
@@ -446,10 +446,8 @@ def test_oracle_cache_refuses_malformed_entries(tmp_path, bad):
     doc = json.loads(path.read_text())
     doc["entries"] = [{"key": [0, 0, 0], "value": [0.5]}, bad]
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError, match="drift cache entry 1 needs a key of 3 integers"):
-        make_drift_oracle(model, mode="estimated", frozen_cfg=frozen_cfg(), cache_path=path)
     oracle = make_drift_oracle(model, mode="estimated", frozen_cfg=frozen_cfg())
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="drift cache entry 1 needs a key of 3 integers"):
         oracle.load_cache(path)
     assert oracle._cache == {}  # nothing from a refused file is kept
     doc["entries"] = {"key": [0, 0, 0], "value": [0.5]}

@@ -217,7 +217,7 @@ def test_averaging_sweep_reproducible_and_thread_independent():
                         threads=threads),
         ),
         lambda threads: filter_error_sweep(
-            model, oracle, "tanh", dataclasses.replace(filter_sweep_cfg(), threads=threads)
+            model, oracle, dataclasses.replace(filter_sweep_cfg(), threads=threads)
         ),
     )
     for run in sweeps:
@@ -285,7 +285,7 @@ def test_failing_filter_sweep_job_names_its_eps_and_rep(error, push):
     )
     drift = lambda x, mu: np.full_like(x, push)  # noqa: E731
     with pytest.raises(error) as err:
-        filter_error_sweep(model, drift, "tanh", filter_sweep_cfg())
+        filter_error_sweep(model, drift, filter_sweep_cfg())
     assert str(err.value).startswith("eps=0.1 rep=0: ")
     assert isinstance(err.value.__cause__, error)
 
@@ -294,15 +294,27 @@ def test_filter_sweep_identical_arms_are_exactly_equal():
     model = ref_model()
     oracle = make_drift_oracle(model, mode="analytic-linear")
     report = filter_error_sweep(
-        model, oracle, "tanh", filter_sweep_cfg(), arms=("multiscale", "multiscale")
+        model, oracle, filter_sweep_cfg(), arms=("multiscale", "multiscale")
     )
     assert all(r.mean_error == 0.0 for r in report.rows)
+
+
+def test_filter_sweep_reads_its_functional_from_the_filter_config():
+    # F = 1 gives pi = sum(u)/sum(u) = 1.0 to the bit in both arms, so every
+    # discrepancy is exactly 0; the default tanh functional gives none that is
+    model = ref_model()
+    oracle = make_drift_oracle(model, mode="analytic-linear")
+    sweep = filter_sweep_cfg()
+    one = dataclasses.replace(sweep.filter_cfg, functional="one")
+    report = filter_error_sweep(model, oracle, dataclasses.replace(sweep, filter_cfg=one))
+    assert [(r.mean_error, r.std_error) for r in report.rows] == [(0.0, 0.0)] * 2
+    assert all(r.mean_error > 0.0 for r in filter_error_sweep(model, oracle, sweep).rows)
 
 
 def test_filter_sweep_silent_sensor_tracks_averaging():
     model = ref_model(LinearModelParams(hscale=0.0))
     oracle = make_drift_oracle(model, mode="analytic-linear")
-    report = filter_error_sweep(model, oracle, "tanh", filter_sweep_cfg(seed=701))
+    report = filter_error_sweep(model, oracle, filter_sweep_cfg(seed=701))
     by_eps = {r.eps: r for r in report.rows}
     pooled = math.hypot(by_eps[0.1].std_error, by_eps[0.02].std_error)
     assert by_eps[0.02].mean_error <= by_eps[0.1].mean_error + pooled
@@ -311,7 +323,7 @@ def test_filter_sweep_silent_sensor_tracks_averaging():
 def test_filter_sweep_discrepancy_direction():
     model = ref_model()
     oracle = make_drift_oracle(model, mode="analytic-linear")
-    report = filter_error_sweep(model, oracle, "tanh", filter_sweep_cfg(seed=702))
+    report = filter_error_sweep(model, oracle, filter_sweep_cfg(seed=702))
     by_eps = {r.eps: r for r in report.rows}
     pooled = math.hypot(by_eps[0.1].std_error, by_eps[0.02].std_error)
     assert by_eps[0.02].mean_error <= by_eps[0.1].mean_error + pooled
@@ -322,14 +334,14 @@ def test_filter_sweep_requires_filter_cfg():
     oracle = make_drift_oracle(model, mode="analytic-linear")
     sweep = SweepConfig(eps_grid=(0.1,), mc_reps=4, base_sde=base_sde())
     with pytest.raises(InvalidParams):
-        filter_error_sweep(model, oracle, "tanh", sweep)
+        filter_error_sweep(model, oracle, sweep)
 
 
 def test_filter_sweep_reproducible():
     model = ref_model()
     oracle = make_drift_oracle(model, mode="analytic-linear")
-    a = filter_error_sweep(model, oracle, "tanh", filter_sweep_cfg(eps_grid=(0.1,)))
-    b = filter_error_sweep(model, oracle, "tanh", filter_sweep_cfg(eps_grid=(0.1,)))
+    a = filter_error_sweep(model, oracle, filter_sweep_cfg(eps_grid=(0.1,)))
+    b = filter_error_sweep(model, oracle, filter_sweep_cfg(eps_grid=(0.1,)))
     assert [dataclasses.astuple(r) for r in a.rows] == [
         dataclasses.astuple(r) for r in b.rows
     ]
@@ -394,7 +406,7 @@ def test_threads_two_draws_ahead_in_one_helper(helpers, kind):
         run = lambda s: averaging_error_sweep(model, oracle, s)  # noqa: E731
         per_job = 2  # signal slow and fast
     else:
-        run = lambda s: filter_error_sweep(model, oracle, "tanh", s)  # noqa: E731
+        run = lambda s: filter_error_sweep(model, oracle, s)  # noqa: E731
         per_job = 5  # signal slow and fast, observation, filter slow, one filter fast
     want = run(sweep)
     got = run(dataclasses.replace(sweep, threads=2))
@@ -410,7 +422,7 @@ def test_threads_two_draws_ahead_in_one_helper(helpers, kind):
 def test_threads_one_starts_no_helper(helpers):
     model = ref_model()
     oracle = make_drift_oracle(model, mode="analytic-linear")
-    filter_error_sweep(model, oracle, "tanh", filter_sweep_cfg(eps_grid=(0.1,)))
+    filter_error_sweep(model, oracle, filter_sweep_cfg(eps_grid=(0.1,)))
     assert helpers["helpers"] == [] and helpers["received"] + helpers["inline"] == 0
 
 
@@ -437,7 +449,7 @@ def test_killed_helper_leaves_the_output_unchanged(helpers, monkeypatch):
     model = ref_model()
     oracle = make_drift_oracle(model, mode="analytic-linear")
     sweep = filter_sweep_cfg()
-    want = filter_error_sweep(model, oracle, "tanh", sweep)
+    want = filter_error_sweep(model, oracle, sweep)
     next_job = ahead.DrawAhead.next_job
     jobs = []
 
@@ -450,7 +462,7 @@ def test_killed_helper_leaves_the_output_unchanged(helpers, monkeypatch):
         next_job(self)
 
     monkeypatch.setattr(ahead.DrawAhead, "next_job", killing_next_job)
-    got = filter_error_sweep(model, oracle, "tanh", dataclasses.replace(sweep, threads=2))
+    got = filter_error_sweep(model, oracle, dataclasses.replace(sweep, threads=2))
     assert rows_of(got) == rows_of(want)
     assert len(jobs) == len(_job_keys(sweep))
     assert_no_child_left(helpers)
@@ -465,8 +477,8 @@ def test_threads_two_without_fork_runs_inline(helpers, monkeypatch, missing):
     model = ref_model()
     oracle = make_drift_oracle(model, mode="analytic-linear")
     sweep = filter_sweep_cfg()
-    want = filter_error_sweep(model, oracle, "tanh", sweep)
-    got = filter_error_sweep(model, oracle, "tanh", dataclasses.replace(sweep, threads=2))
+    want = filter_error_sweep(model, oracle, sweep)
+    got = filter_error_sweep(model, oracle, dataclasses.replace(sweep, threads=2))
     assert rows_of(got) == rows_of(want)
     assert helpers["helpers"] == [] and helpers["received"] + helpers["inline"] == 0
     assert_no_child_left(helpers)
@@ -501,8 +513,8 @@ def test_helper_block_a_job_never_asks_for_is_left_behind(helpers):
     )
     oracle = make_drift_oracle(base, mode="analytic-linear")
     sweep = filter_sweep_cfg()
-    want = filter_error_sweep(model, oracle, "tanh", sweep)
-    got = filter_error_sweep(model, oracle, "tanh", dataclasses.replace(sweep, threads=2))
+    want = filter_error_sweep(model, oracle, sweep)
+    got = filter_error_sweep(model, oracle, dataclasses.replace(sweep, threads=2))
     assert rows_of(got) == rows_of(want)
     jobs = len(_job_keys(sweep))
     assert helpers["received"] == 4 * jobs  # signal slow and fast, filter slow and fast
@@ -521,10 +533,10 @@ def test_helper_leaves_no_pipe_or_mapping_open(helpers):
     model = ref_model()
     oracle = make_drift_oracle(model, mode="analytic-linear")
     sweep = dataclasses.replace(filter_sweep_cfg(), threads=2)
-    filter_error_sweep(model, oracle, "tanh", sweep)  # loads and allocates what a run needs
+    filter_error_sweep(model, oracle, sweep)  # loads and allocates what a run needs
     gc.collect()
     before = _open_fds_and_maps()
-    filter_error_sweep(model, oracle, "tanh", sweep)
+    filter_error_sweep(model, oracle, sweep)
     gc.collect()
     after = _open_fds_and_maps()
     assert after[0] == before[0]
@@ -537,7 +549,7 @@ def test_helper_done_before_the_last_job_still_serves_it(helpers, monkeypatch):
     model = ref_model()
     oracle = make_drift_oracle(model, mode="analytic-linear")
     sweep = filter_sweep_cfg()
-    want = filter_error_sweep(model, oracle, "tanh", sweep)
+    want = filter_error_sweep(model, oracle, sweep)
     next_job = ahead.DrawAhead.next_job
     jobs = []
 
@@ -549,7 +561,7 @@ def test_helper_done_before_the_last_job_still_serves_it(helpers, monkeypatch):
         next_job(self)
 
     monkeypatch.setattr(ahead.DrawAhead, "next_job", next_job_after_the_helper_ends)
-    got = filter_error_sweep(model, oracle, "tanh", dataclasses.replace(sweep, threads=2))
+    got = filter_error_sweep(model, oracle, dataclasses.replace(sweep, threads=2))
     assert rows_of(got) == rows_of(want)
     assert len(jobs) == len(_job_keys(sweep))
     assert helpers["received"] == 5 * len(_job_keys(sweep))

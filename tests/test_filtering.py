@@ -8,6 +8,7 @@ and closed-form Riccati fixed points.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -387,13 +388,13 @@ def test_resampling_preserves_pi_in_expectation():
 def test_martingale_exact_for_silent_sensor():
     model = silent_model()
     cfg = signal_cfg(T=0.2, N=2)
-    assert martingale_check(model, 1000, cfg, dt=0.01) == 1.0
+    assert martingale_check(model, 1000, cfg, dt=0.01) == (1.0, 0.0)
 
 
 def test_martingale_near_one_for_tanh_sensor():
     model = ref_model()
     cfg = SdeConfig(epsilon=0.1, T=0.5, dt_macro=0.01, micro_substeps=1, N=2, seed=5)
-    mean, se = martingale_check(model, 4000, cfg, dt=0.01, return_se=True)
+    mean, se = martingale_check(model, 4000, cfg, dt=0.01)
     assert abs(mean - 1.0) <= 3.0 * se
     assert se < 0.05
 
@@ -405,12 +406,21 @@ def test_martingale_requires_min_runs():
         martingale_check(model, 999, cfg, dt=0.01)
 
 
-@pytest.mark.parametrize("chunk", [1, 0, -5])
-def test_martingale_refuses_chunk_below_two(chunk):
-    model = ref_model()
-    cfg = signal_cfg(N=2)
-    with pytest.raises(InvalidParams, match="chunk"):
-        martingale_check(model, 1000, cfg, dt=0.01, chunk=chunk)
+@pytest.mark.parametrize("mc_runs, dt", [(1000, 0.01), (4000, 0.02), (4001, 0.05)])
+def test_martingale_evaluates_h_once_per_observation_time(mc_runs, dt):
+    base = ref_model()
+    calls = []
+
+    def h(x, mu):
+        calls.append(len(x))
+        return base.h(x, mu)
+
+    model = dataclasses.replace(base, h=h)
+    cfg = signal_cfg(T=0.2, N=2)
+    martingale_check(model, mc_runs, cfg, dt=dt)
+    n_obs = round(cfg.T / dt)
+    sizes = {1000: [1000], 4000: [2000, 2000], 4001: [2000, 2001]}[mc_runs]
+    assert calls == [size for size in sizes for _ in range(n_obs)]
 
 
 def test_martingale_deterministic():

@@ -32,7 +32,6 @@ def test_summarize_symmetric_pair():
     s = summarize_points(col([-1.0, 1.0]))
     assert s.mean == pytest.approx(0.0, abs=0.0)
     assert s.second_moment == pytest.approx(1.0, abs=0.0)
-    assert s.n_points == 2
 
 
 def test_summarize_single_point():
@@ -73,7 +72,6 @@ def test_lazy_second_moment_is_the_eager_einsum(shape):
     assert np.float64(first).tobytes() == np.float64(eager).tobytes()
     assert np.float64(s.second_moment).tobytes() == np.float64(first).tobytes()
     assert s.mean.tobytes() == (np.add.reduce(pts, axis=0) / shape[0]).tobytes()
-    assert s.n_points == shape[0]
 
 
 @pytest.mark.parametrize("shape", [(5,), (2, 3, 1), (0, 2), (0, 1)])
@@ -153,7 +151,6 @@ def test_resample_expected_multiplicity():
 
 def test_summary_fields():
     mean = np.array([1.0])
-    s = MeasureSummary(mean=mean, second_moment=2.0, n_points=5)
-    assert s.n_points == 5
+    s = MeasureSummary(mean=mean, second_moment=2.0)
     assert s.mean is mean and s.second_moment == 2.0
     assert "second_moment=2.0" in repr(s)

@@ -11,6 +11,8 @@ Oracle values derived by hand before implementation:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,13 +20,14 @@ from hypothesis import strategies as st
 
 from mvx_avgfilter.errors import InvalidParams
 from mvx_avgfilter.measure import MeasureSummary
-from mvx_avgfilter.model import LinearModelParams, make_linear_model, probe_assumptions
+from mvx_avgfilter.model import LinearModelParams, ModelSpec, make_linear_model, probe_assumptions
 from mvx_avgfilter.sde import FrozenRunConfig, SdeConfig
+from mvx_avgfilter.streams import stream
 
 
 def point_summary(mean):
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    return MeasureSummary(mean=mean, second_moment=float(mean @ mean), n_points=1)
+    return MeasureSummary(mean=mean, second_moment=float(mean @ mean))
 
 
 REF = LinearModelParams(a11=-1.0, a12=0.0, a13=1.0, s1=0.5, gamma=2.0, c1=1.0, c2=0.0, c3=0.5, s2=1.0, hscale=1.0)
@@ -165,15 +168,14 @@ def test_eval_deterministic_bitwise():
 
 def test_h_bound_declared_and_respected():
     m = make_linear_model(REF, n=1, m=1, l=1, x0=[0.0], z0=[0.0])
-    assert m.h_max == pytest.approx(2.0)  # 2*sqrt(l), l=1
+    h_max = 2.0 * math.sqrt(m.l)  # |tanh| <= 1 in both terms of each of the l components
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(200):
         x = rng.uniform(-50, 50, size=1)
         mu = point_summary(rng.uniform(-50, 50, size=1))
         worst = max(worst, float(np.linalg.norm(m.h(x, mu))))
-    assert worst <= m.h_max + 1e-12
-    assert m.h_max <= 2 * m.l
+    assert worst <= h_max + 1e-12
 
 
 # ===== probe_assumptions =====
@@ -200,8 +202,7 @@ def test_probe_margin_arithmetic():
 def test_probe_h_bound():
     m = make_linear_model(REF, n=1, m=1, l=1, x0=[1.0], z0=[0.0])
     rep = probe_assumptions(m, sample_count=500, domain_box=(-3.0, 3.0), p=1)
-    assert rep.h_bound <= 2 * m.l + 1e-12
-    assert rep.h_bound <= m.h_max + 1e-12
+    assert rep.h_bound <= 2.0 * math.sqrt(m.l) + 1e-12
 
 
 def test_probe_monotone_in_sample_count():
@@ -211,6 +212,29 @@ def test_probe_monotone_in_sample_count():
     assert large.lipschitz_b1s1 >= small.lipschitz_b1s1
     assert large.lipschitz_b2s2 >= small.lipschitz_b2s2
     assert large.h_bound >= small.h_bound
+
+
+def test_probe_draws_each_sample_as_four_draws_in_turn():
+    # the reference layout: per sample, an x pair, a mu-mean pair, a z pair and a
+    # nu-mean pair, each one uniform call on the probe's stream
+    n, m, count = 1, 2, 7
+    seen = []
+
+    def b2(x, mu, z, nu):
+        seen.append(np.concatenate([x, mu.mean, z, nu.mean]))
+        return -z
+
+    model = ModelSpec(
+        n=n, m=m, l=1, x0=np.zeros(n), z0=np.zeros(m),
+        b1=lambda x, mu, z: -x, sigma1=lambda x, mu: np.eye(n),
+        b2=b2, sigma2=lambda x, mu, z, nu: np.eye(m), h=lambda x, mu: np.tanh(x),
+    )
+    probe_assumptions(model, sample_count=count, domain_box=(-2.0, 1.5), p=1, seed=4)
+    gen = stream(4, "assumption-probe")
+    draws = [[gen.uniform(-2.0, 1.5, size=(2, d)) for d in (n, n, m, m)] for _ in range(count)]
+    # b2 sees side 0 of every sample, then side 1, before the contraction loop
+    want = [np.concatenate([pair[side] for pair in sample]) for side in (0, 1) for sample in draws]
+    assert np.array_equal(np.stack(seen[: 2 * count]), np.stack(want))
 
 
 @pytest.mark.parametrize(

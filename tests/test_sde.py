@@ -357,6 +357,27 @@ def test_slow_fast_non_finite_particle_raises_at_its_step(bad, T, state):
     assert f"{state} state" in str(err.value)
 
 
+@pytest.mark.parametrize("b1", ["linear", "z-free"])
+def test_multiscale_filter_non_finite_fast_particle_raises_at_its_step(b1):
+    # one micro-substep: b2's third call computes the fast state of step 3
+    base = ref_model()
+    if b1 == "z-free":  # the slow particles never read the fast ones
+        base = dataclasses.replace(base, b1=lambda x, mu, z: -x)
+    cfg = SdeConfig(epsilon=0.1, T=0.1, dt_macro=0.01, micro_substeps=1, N=5, seed=1)
+    obs = generate_observations(base, simulate_slow_fast(base, cfg), 0, cfg.dt_macro, 7)
+    fcfg = FilterConfig(Nf=20, resample_threshold=0.5, functional="tanh")
+    runs = {
+        "fast state": lambda model: simulate_slow_fast(model, cfg),
+        "filter fast state": lambda model: run_filter("multiscale", model, None, obs, fcfg, cfg),
+    }
+    for what, run in runs.items():
+        model = dataclasses.replace(base, b2=_poisoning(base.b2, 3, np.nan))
+        with np.errstate(invalid="ignore"), pytest.raises(Instability) as err:
+            run(model)
+        assert (err.value.step, err.value.time) == (3, 3 * 0.01)
+        assert str(err.value).startswith(f"{what} became non-finite at step 3")
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("T", [0.1, 0.03])
 def test_averaged_non_finite_particle_raises_at_its_step(bad, T):
@@ -406,7 +427,7 @@ def test_runs_of_a_finite_state_whose_sum_overflows():
 def _zero_summary(d):
     from mvx_avgfilter.measure import MeasureSummary
 
-    return MeasureSummary(mean=np.zeros(d), second_moment=0.0, n_points=1)
+    return MeasureSummary(mean=np.zeros(d), second_moment=0.0)
 
 
 # ===== simulate_averaged =====
@@ -523,14 +544,15 @@ def test_auxiliary_requires_delta():
         simulate_auxiliary(model, path, cfg)
 
 
-def test_auxiliary_rejects_mismatched_config():
+@pytest.mark.parametrize(
+    "field, value", [("seed", 6), ("epsilon", 0.2), ("micro_substeps", 5), ("N", 17)]
+)
+def test_auxiliary_rejects_mismatched_config(field, value):
     model = ref_model()
     cfg = SdeConfig(epsilon=0.1, T=0.2, dt_macro=0.05, micro_substeps=4, N=16, seed=5)
     path = simulate_slow_fast(model, cfg)
-    other = SdeConfig(
-        epsilon=0.1, T=0.2, dt_macro=0.05, micro_substeps=4, N=16, seed=6, delta_eps=0.1
-    )
-    with pytest.raises(GridMismatch):
+    other = dataclasses.replace(cfg, delta_eps=0.1, **{field: value})
+    with pytest.raises(GridMismatch, match="in a field other than delta_eps"):
         simulate_auxiliary(model, path, other)
 
 
@@ -745,9 +767,9 @@ def test_each_sweep_probes_the_model_once(sweep, monkeypatch):
     if sweep == "averaging":
         averaging_error_sweep(model, drift, cfg)
     elif sweep == "filter":
-        filter_error_sweep(model, drift, "tanh", cfg)
+        filter_error_sweep(model, drift, cfg)
     else:
-        filter_error_sweep(model, None, "tanh", cfg, arms=("multiscale", "multiscale"))
+        filter_error_sweep(model, None, cfg, arms=("multiscale", "multiscale"))
     assert calls == [model]
 
 

@@ -249,7 +249,7 @@ def test_filter_sweep_draws_the_filter_slow_block_once_per_job(monkeypatch):
     drift = make_drift_oracle(model, mode="analytic-linear")
     calls = []
     counting(monkeypatch, filtering, calls)
-    report = filter_error_sweep(model, drift, "tanh", sweep)
+    report = filter_error_sweep(model, drift, sweep)
     assert calls.count(FILTER_SLOW_LABEL) == sweep.mc_reps
     assert all(math.isfinite(r.mean_error) for r in report.rows)
 
