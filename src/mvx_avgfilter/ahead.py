@@ -25,6 +25,13 @@ unmaps its side of each block once drawn. The benchmark's filter sweep
 (2 epsilons x 20 reps, five blocks a job) maps 200 blocks, about 270 MB of
 address space. Where a mapping, a pipe or the fork fails, ``start``
 returns None and the sweep draws its own noise.
+
+A fast block is read once, front to back, so its buffer is freed behind the
+run: as the job steps past its rows, ``streams`` hands them back through
+``release``, which frees their whole pages with ``madvise(MADV_REMOVE)``. So
+a job holds only the fast rows it has not yet stepped past. Slow blocks,
+which a job may read twice, are never handed back. Where ``MADV_REMOVE`` is
+missing or fails, the job keeps the pages and carries on.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import select
 import signal
 import threading
 import time
+import weakref
 from typing import Optional
 
 import numpy as np
@@ -48,6 +56,8 @@ from . import streams
 REPLY_TIMEOUT_S = 60.0
 # Seconds the helper gets to exit after its pipes close, before SIGKILL.
 JOIN_TIMEOUT_S = 5.0
+# The advice that frees a shared mapping's pages; None where there is none.
+_MADV_REMOVE = getattr(mmap, "MADV_REMOVE", None)
 
 
 def _key(args) -> tuple:
@@ -94,6 +104,9 @@ class DrawAhead:
             for plan, maps in zip(plans, buffers)
         )
         self._current: list = []
+        # [view, buffer, bytes freed] per block sent to the current job; the
+        # references are weak, so a block's mapping still closes with its view
+        self._sent: list = []
         self._thread = threading.get_ident()
         streams._drawn_ahead = self
 
@@ -101,6 +114,7 @@ class DrawAhead:
         """A job starts: the blocks planned for it become the ones it can
         receive, and those the last job did not ask for are unmapped."""
         self._current = self._jobs.popleft() if self._jobs else []
+        self._sent = []
         if self._jobs and self._go is not None:
             try:
                 os.write(self._go, b"\0")
@@ -120,7 +134,24 @@ class DrawAhead:
         del self._current[pos]
         if not self._wait_for(ordinal):
             return None
-        return _view(buffer, args)
+        view = _view(buffer, args)
+        self._sent.append([weakref.ref(view), weakref.ref(buffer), 0])
+        return view
+
+    def release(self, block: np.ndarray, nbytes: int) -> None:
+        """Free the whole pages among the first ``nbytes`` bytes of ``block``,
+        which the job has stepped past and will not read again. An array not
+        sent to the current job is left as it is, and so is a block whose
+        release fails."""
+        sent = next((s for s in self._sent if s[0]() is block), None)
+        end = nbytes - nbytes % mmap.PAGESIZE
+        if sent is None or _MADV_REMOVE is None or end <= sent[2]:
+            return
+        try:
+            sent[1]().madvise(_MADV_REMOVE, sent[2], end - sent[2])
+        except OSError:
+            return
+        sent[2] = end
 
     def _wait_for(self, ordinal: int) -> bool:
         """Read "done" bytes until block ``ordinal`` is drawn; False, with the
@@ -150,6 +181,7 @@ class DrawAhead:
         self._shut()
         self._jobs.clear()
         self._current = []
+        self._sent = []
         deadline = time.monotonic() + JOIN_TIMEOUT_S
         try:
             while os.waitpid(self.pid, os.WNOHANG)[0] == 0:

@@ -302,8 +302,11 @@ def ergodic_decay_profile(
 
 
 def smoothed_deviations(profile: ErgodicDecayProfile, width: int = 3) -> np.ndarray:
-    """Centered moving average of the deviation profile."""
+    """Centered moving average of the deviation profile, one value per grid
+    point; ``width`` must be odd and positive, so the window has a centre."""
 
+    if width < 1 or width % 2 == 0:
+        raise InvalidParams(f"smoothing width must be odd and >= 1, got {width!r}")
     d = profile.deviations
     kernel = np.ones(width) / width
     padded = np.concatenate([d[:1].repeat(width // 2), d, d[-1:].repeat(width // 2)])

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .averaging import analytic_bbar_linear, estimate_bbar, make_drift_oracle
 from .config import COMMANDS, RunConfig, config_digest, parse_config
-from .errors import MvxError, ValidationError
+from .errors import MvxError, ParseError, ValidationError
 from .experiments import SweepConfig, averaging_error_sweep, filter_error_sweep, usable_cpus
 from .filtering import generate_observations, run_filter
 from .measure import dirac_summary
@@ -218,13 +218,25 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config_text(path: str) -> str:
+    """The config file's text, with universal newlines as text mode reads it;
+    bytes that are not UTF-8 raise ParseError naming the first one's offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(
+            f"config file is not UTF-8: byte 0x{data[err.start]:02x} at offset {err.start}"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         threads = _resolve_threads(args.threads)
-        with open(args.config, encoding="utf-8") as fh:
-            text = fh.read()
-        cfg = parse_config(text)
+        cfg = parse_config(_read_config_text(args.config))
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.out is not None:

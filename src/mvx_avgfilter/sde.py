@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DimensionMismatch, GridMismatch, Instability, InvalidParams, MissingDelta
 from .measure import MeasureSummary, ParticleCloud, summarize_points
 from .model import ModelSpec, _require_finite
-from .streams import _increment_chunks, normal_increments
+from .streams import _increment_chunks, _increment_groups, normal_increments
 
 STABILITY_CAP = 0.25
 
@@ -353,8 +353,7 @@ def _fast_increments(model: ModelSpec, cfg: SdeConfig, label: str, count: int) -
     h = (dt_macro/micro_substeps)/epsilon and noise_scale = 1/sqrt(epsilon).
     """
     ksub = cfg.micro_substeps
-    chunks = _increment_chunks(*_fast_noise(model, cfg, label, count), ksub)
-    dws = itertools.chain.from_iterable(c.reshape(-1, ksub, count, model.m) for c in chunks)
+    dws = _increment_groups(*_fast_noise(model, cfg, label, count), ksub)
     h = cfg.dt_macro / ksub / cfg.epsilon
     return dws, h, 1.0 / math.sqrt(cfg.epsilon)
 

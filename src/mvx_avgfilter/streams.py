@@ -37,11 +37,17 @@ is kept and resumed, so the chunks are byte for byte the slices of the
 whole block: the stream layout does not change. A block of one chunk is a
 plain ``normal_increments`` call, and a longer one that the helper has drawn
 ahead is sliced from the helper's whole block.
+
+The simulators and the filter read each fast row once, in order, and take
+their fast blocks a macro step at a time (``_increment_groups``). **A caller
+must not read rows it has stepped past:** where the helper drew the block,
+their whole pages are freed behind the run, and they may read as zeros.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from typing import Callable, Optional
 
@@ -63,6 +69,10 @@ _ROW_BLOCK = 256
 # A block splits into steps // _CHUNK_ROWS chunks at most (the chunk rule of
 # the module docstring).
 _CHUNK_ROWS = 512
+
+# A run hands back the rows it has stepped past in a block drawn ahead this
+# many bytes at a time: about 50 releases for a 6.4 MB block.
+_RELEASE_BYTES = 1 << 17
 
 # One stream's Philox state while it waits between chunks: 77 bytes, where the
 # dict that ``bitgen.state`` returns takes about 900.
@@ -231,7 +241,8 @@ def _index_words(n: int) -> np.ndarray:
 # While a sweep's helper process draws blocks ahead (see ``ahead``), this is
 # called with a draw's arguments and returns that block, or None to draw it
 # here. A block is a pure function of its arguments, so either way the bytes
-# are the same.
+# are the same. Its ``release(block, nbytes)``, where it has one, is told how
+# far a run has read a block it is served once (``_increment_groups``).
 _drawn_ahead: Optional[Callable[[tuple], Optional[np.ndarray]]] = None
 
 
@@ -282,6 +293,19 @@ def _chunk_bounds(steps: int, group: int) -> list:
     return bounds
 
 
+def _whole_block(master_seed: int, label: str, steps: int, count: int, dims: int,
+                 scale: float, chunked: bool) -> Optional[np.ndarray]:
+    """The whole block of the first six arguments where it is not to be drawn
+    here a chunk at a time: the ``normal_increments`` call of a block of one
+    chunk, or the helper's block of a ``chunked`` one. None otherwise."""
+    if not chunked:
+        return normal_increments(master_seed, label, steps, count, dims, scale)
+    source = _drawn_ahead
+    if source is None:
+        return None
+    return source((master_seed, label, steps, count, dims, _checked_scale(scale)))
+
+
 def _increment_chunks(
     master_seed: int,
     label: str,
@@ -302,14 +326,48 @@ def _increment_chunks(
     asking for more.
     """
     bounds = _chunk_bounds(steps, group)
-    if len(bounds) == 2:
-        return iter((normal_increments(master_seed, label, steps, count, dims, scale),))
-    scale = _checked_scale(scale)
-    source = _drawn_ahead
-    block = None if source is None else source((master_seed, label, steps, count, dims, scale))
+    block = _whole_block(master_seed, label, steps, count, dims, scale, len(bounds) > 2)
     if block is None:
-        return _draw_chunks(master_seed, label, count, dims, scale, bounds)
+        return _draw_chunks(master_seed, label, count, dims, _checked_scale(scale), bounds)
     return (block[start:end] for start, end in zip(bounds, bounds[1:]))
+
+
+def _increment_groups(
+    master_seed: int,
+    label: str,
+    steps: int,
+    count: int,
+    dims: int,
+    scale: float,
+    group: int,
+):
+    """The block of :func:`_increment_chunks`, one group at a time: an
+    iterator of (group, count, dims) views, each valid until the next is
+    taken (``steps`` is a whole number of groups).
+
+    The block is read once, front to back. Where the helper drew it, the rows
+    stepped past are handed back (``release``) each time another
+    ``_RELEASE_BYTES`` of them have built up, and their whole pages are freed.
+    """
+    bounds = _chunk_bounds(steps, group)
+    block = _whole_block(master_seed, label, steps, count, dims, scale, len(bounds) > 2)
+    if block is None:
+        chunks = _draw_chunks(master_seed, label, count, dims, _checked_scale(scale), bounds)
+        return itertools.chain.from_iterable(c.reshape(-1, group, count, dims) for c in chunks)
+    return _read_once(block, group, getattr(_drawn_ahead, "release", None))
+
+
+def _read_once(block: np.ndarray, group: int, release):
+    """Yield ``block`` ``group`` rows at a time, calling ``release(block,
+    nbytes)`` with the bytes stepped past whenever ``_RELEASE_BYTES`` more of
+    them have built up since the last call."""
+    freed = 0
+    for k, rows in enumerate(block.reshape(-1, group, *block.shape[1:])):
+        behind = k * rows.nbytes
+        if release is not None and behind - freed >= _RELEASE_BYTES:
+            release(block, behind)
+            freed = behind
+        yield rows
 
 
 def _draw_block(

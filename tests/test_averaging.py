@@ -215,6 +215,30 @@ def test_decay_profile_monotone_after_smoothing():
         assert sm[b] <= sm[a] + 0.25 * prof.noise_floor
 
 
+def ten_point_profile():
+    t_grid = np.linspace(0.0, 0.9, 10)
+    return ErgodicDecayProfile(
+        t_grid=t_grid, deviations=np.exp(-t_grid), fitted_rate=1.0, fit_r2=1.0,
+        noise_floor=0.0, used_mask=np.ones(10, dtype=bool), target=np.zeros(1),
+    )
+
+
+@pytest.mark.parametrize("width", [1, 3, 5, 9, 11])
+def test_smoothed_deviations_give_one_value_per_grid_point(width):
+    prof = ten_point_profile()
+    sm = smoothed_deviations(prof, width)
+    assert sm.shape == prof.deviations.shape
+    # the window centred on point width // 2 holds the first width points, unpadded
+    if width <= prof.deviations.size:
+        assert sm[width // 2] == pytest.approx(prof.deviations[:width].mean(), rel=1e-12)
+
+
+@pytest.mark.parametrize("width", [2, 4, 0, -1])
+def test_smoothed_deviations_refuse_a_width_without_a_centre(width):
+    with pytest.raises(InvalidParams, match="width"):
+        smoothed_deviations(ten_point_profile(), width)
+
+
 def test_decay_profile_needs_replications():
     model = ref_model()
     cfg = FrozenRunConfig(M=50, dt=0.01, burn_in=0.0, avg_window=1.0, seed=0)

@@ -508,6 +508,42 @@ def test_main_answers_a_malformed_model_with_one_json_error(tmp_path, capsys, mo
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "data,offset",
+    [(b"\xff\xfe{}", 0), (cfg_text().encode("utf-8")[:-1] + b', "note": "\xe9"}', None)],
+    ids=["utf16-bom", "latin1-byte"],
+)
+def test_main_answers_a_config_that_is_not_utf8_with_one_json_error(
+    tmp_path, capsys, data, offset
+):
+    offset = data.index(b"\xe9") if offset is None else offset
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_bytes(data)
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ParseError"
+    assert err["message"].endswith(f"at offset {offset}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_reads_crlf_line_ends_as_text_mode_does(tmp_path, capsys):
+    # a raw line end inside a JSON string: its message counts characters, so
+    # it shows whether the CRLF reached the parser as one character or two
+    text = '{\n"command": "probe",\n"note": "a\nb"\n}'
+    messages = []
+    for name, data in (("lf", text), ("crlf", text.replace("\n", "\r\n"))):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_bytes(data.encode("utf-8"))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / name)]) == 1
+        messages.append(capsys.readouterr().err)
+    assert "ParseError" in messages[0]
+    assert messages[0] == messages[1]
+
+
 def test_main_missing_config_file(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "nope.json")])
     assert code != 0

@@ -10,16 +10,18 @@ from __future__ import annotations
 import dataclasses
 import gc
 import math
+import mmap
 import multiprocessing
 import os
 import signal
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
 
-from mvx_avgfilter import ahead, experiments, filtering, streams
+from mvx_avgfilter import ahead, experiments, filtering, sde, streams
 from mvx_avgfilter.averaging import make_drift_oracle
 from mvx_avgfilter.errors import (
     DegenerateFit,
@@ -566,6 +568,119 @@ def test_helper_done_before_the_last_job_still_serves_it(helpers, monkeypatch):
     assert len(jobs) == len(_job_keys(sweep))
     assert helpers["received"] == 5 * len(_job_keys(sweep))
     assert helpers["inline"] == 0
+    assert_no_child_left(helpers)
+
+
+# ===== a fast block drawn ahead is freed behind the run =====
+
+
+@pytest.fixture
+def releases(monkeypatch):
+    """Every release call the helpers get, as (stream label, block, nbytes),
+    with the label of the block the helper sent; a release each macro step."""
+    monkeypatch.setattr(streams, "_RELEASE_BYTES", 1)
+    labels = []  # (weak reference to a block sent, its label)
+    call, release = ahead.DrawAhead.__call__, ahead.DrawAhead.release
+    record = []
+
+    def labelling_call(self, args):
+        block = call(self, args)
+        if block is not None:
+            labels.append((weakref.ref(block), args[1]))
+        return block
+
+    def recording_release(self, block, nbytes):
+        label = next((lab for ref, lab in labels if ref() is block), None)
+        record.append((label, block, nbytes))
+        release(self, block, nbytes)
+
+    monkeypatch.setattr(ahead.DrawAhead, "__call__", labelling_call)
+    monkeypatch.setattr(ahead.DrawAhead, "release", recording_release)
+    return record
+
+
+needs_madv_remove = pytest.mark.skipif(
+    ahead._MADV_REMOVE is None, reason="the platform has no MADV_REMOVE"
+)
+
+
+@needs_madv_remove
+@pytest.mark.parametrize("T, ksub, N, chunks", [(0.5, 2, 300, 1), (3.0, 4, 50, 2)])
+def test_fast_rows_drawn_ahead_are_freed_behind_the_run(releases, T, ksub, N, chunks):
+    model = ref_model()
+    cfg = SdeConfig(epsilon=0.1, T=T, dt_macro=0.01, micro_substeps=ksub, N=N, seed=31)
+    args = sde._fast_noise(model, cfg, sde.FAST_LABEL, N)
+    assert len(streams._chunk_bounds(args[2], ksub)) == chunks + 1
+    inline = [c.copy() for c in sde._fast_increments(model, cfg, sde.FAST_LABEL, N)[0]]
+    page = mmap.PAGESIZE
+    with ahead.start([[args]]) as helper:
+        helper.next_job()
+        dws = sde._fast_increments(model, cfg, sde.FAST_LABEL, N)[0]
+        for k, dw in enumerate(dws):
+            assert dw.tobytes() == inline[k].tobytes()
+            if not k:
+                continue
+            label, block, nbytes = releases[-1]
+            assert label == sde.FAST_LABEL and nbytes == k * dw.nbytes
+            raw = block.reshape(-1).view(np.uint8)
+            freed = nbytes - nbytes % page
+            # the whole pages behind the run read as zeros; every row ahead is intact
+            assert not raw[:freed].any()
+            assert raw[nbytes:].tobytes() == np.concatenate(inline[k:]).tobytes()
+        assert k + 1 == len(inline) == cfg.n_steps
+    assert len(releases) == cfg.n_steps - 1
+
+
+@needs_madv_remove
+def test_release_frees_only_a_block_sent_to_the_current_job():
+    planned = (5, "signal-fast", 512, 4, 1, 0.1)  # four whole pages
+    want = streams.normal_increments(*planned)
+    with ahead.start([[planned], [planned]]) as helper:
+        helper.next_job()
+        mapped = mmap.mmap(-1, want.nbytes)
+        elsewhere = np.frombuffer(mapped).reshape(want.shape)
+        elsewhere[:] = want
+        helper.release(elsewhere, want.nbytes)
+        sent = helper(planned)
+        helper.release(sent.copy(), want.nbytes)
+        assert elsewhere.tobytes() == sent.tobytes() == want.tobytes()
+        helper.release(sent, want.nbytes - 1)  # three whole pages
+        assert not sent[:384].any() and sent[384:].tobytes() == want[384:].tobytes()
+        helper.next_job()
+        helper.release(sent, want.nbytes)  # sent to the last job
+        assert sent[384:].tobytes() == want[384:].tobytes()
+
+
+def test_only_fast_blocks_are_released(helpers, releases):
+    model = ref_model()
+    oracle = make_drift_oracle(model, mode="analytic-linear")
+    sweep = dataclasses.replace(filter_sweep_cfg(), threads=2)
+    averaging_error_sweep(model, oracle, sweep)
+    assert {label for label, _, _ in releases} == {sde.FAST_LABEL}
+    releases.clear()
+    filter_error_sweep(model, oracle, sweep, arms=("multiscale", "multiscale"))
+    labels = [label for label, _, _ in releases]
+    # the signal run and each of the two multiscale arms step through their
+    # own fast block; no slow or observation block is ever handed back
+    steps = sweep.base_sde.n_steps - 1
+    jobs = len(_job_keys(sweep))
+    assert labels.count(sde.FAST_LABEL) == steps * jobs
+    assert labels.count(filtering.FILTER_FAST_LABEL) == 2 * steps * jobs
+    assert len(labels) == 3 * steps * jobs
+    assert_no_child_left(helpers)
+
+
+def test_a_failing_release_keeps_the_pages_and_the_rows(helpers, releases, monkeypatch):
+    monkeypatch.setattr(ahead, "_MADV_REMOVE", -1)  # madvise refuses it: EINVAL
+    model = ref_model()
+    oracle = make_drift_oracle(model, mode="analytic-linear")
+    sweep = filter_sweep_cfg()
+    want = filter_error_sweep(model, oracle, sweep)
+    got = filter_error_sweep(model, oracle, dataclasses.replace(sweep, threads=2))
+    assert rows_of(got) == rows_of(want)
+    assert releases
+    # each release came after the rows it names were read, and freed nothing
+    assert all(block.reshape(-1)[:1].all() for _, block, _ in releases)
     assert_no_child_left(helpers)
 
 
