@@ -191,7 +191,7 @@ def estimate_dissipativity(model: ModelSpec) -> float:
 
 
 # Probed rates per model instance (ModelSpec compares by identity). The probe
-# is deterministic, so two threads racing on a new model only repeat it.
+# is deterministic, so the cache changes no rate, only how often it is probed.
 _probed_rates: "weakref.WeakKeyDictionary[ModelSpec, float]" = weakref.WeakKeyDictionary()
 
 

@@ -4,14 +4,17 @@ Paths are read-only (steps+1, N, d) arrays and laws are summaries of their
 rows; the writers format those arrays directly, streamed in blocks, and must
 produce exactly the bytes of the per-value reference formatting
 (``json.dumps`` of nested lists, ``format(v, ".17g")`` per CSV cell) in
-memory that does not grow with the table.
+memory that does not grow with the table.  The float-text kernel behind both
+writers is compared with Python's own text on over a million values.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -36,6 +39,7 @@ from mvx_avgfilter.sde import (
 from mvx_avgfilter import SCHEMA_VERSION
 from mvx_avgfilter.serialize import (
     CHUNK,
+    _float_words,
     atomic_write_chunks,
     ensemble_json,
     ensemble_rows,
@@ -261,11 +265,12 @@ def test_probe_json(tmp_path):
     assert written(tmp_path, payload) == reference_json(payload)
 
 
-EDGE_VALUES = [-0.0, 5e-324, 1e-300, 1e16, 1.0 / 3.0, 2.0, -7.0, 0.1, 1e22, 123456789.0]
+EDGE_VALUES = [-0.0, 5e-324, 1e-300, 1e16, 1.0 / 3.0, 2.0, -7.0, 0.1, 1e22, 123456789.0,
+               1e-4, 9.999999999999999e-05, 2.0**52, 2.0**53, 9999999999999998.0, 1e15]
 
 
-@pytest.mark.parametrize("shape", [(10,), (2, 5), (5, 2), (1, 10), (10, 1), (2, 5, 1), (1, 2, 5),
-                                   (2, 1, 5, 1)])
+@pytest.mark.parametrize("shape", [(16,), (2, 8), (8, 2), (1, 16), (16, 1), (2, 8, 1), (1, 2, 8),
+                                   (2, 1, 8, 1)])
 def test_edge_value_arrays_in_nested_payload(tmp_path, shape):
     a = np.array(EDGE_VALUES).reshape(shape)
     payload = {"b": a, "a": [a, {"z": a[..., :1]}, "text", 3], "c": None, "d": 1.5}
@@ -273,7 +278,7 @@ def test_edge_value_arrays_in_nested_payload(tmp_path, shape):
 
 
 def test_top_level_and_non_float_arrays(tmp_path):
-    a = np.array(EDGE_VALUES).reshape(5, 2)
+    a = np.array(EDGE_VALUES).reshape(8, 2)
     assert written(tmp_path, a) == reference_json(a.tolist())
     payload = {"i": np.arange(3), "b": np.array([True, False]), "e": np.zeros((2, 0)),
                "f32": np.float32([0.1, 2.5])}
@@ -332,7 +337,7 @@ def read_csv(path) -> str:
 
 
 def test_csv_array_equals_format_value_rows(tmp_path):
-    a = np.array(EDGE_VALUES + [np.nan, np.inf]).reshape(6, 2)
+    a = np.array(EDGE_VALUES + [np.nan, np.inf]).reshape(9, 2)
     write_csv(str(tmp_path / "a.csv"), "cmd", ["u", "v"], a)
     write_csv(str(tmp_path / "b.csv"), "cmd", ["u", "v"], a.tolist())
     assert read_csv(tmp_path / "a.csv") == read_csv(tmp_path / "b.csv")
@@ -470,6 +475,104 @@ def test_one_pass_oracle_single_row_and_empty_batch():
     assert np.array_equal(oracle(np.array([[0.5]]), mu)[0], single)
     assert oracle(np.zeros((0, 1)), mu).shape == (0, 1)
     assert oracle.stats == {"hits": 1, "misses": 1}
+
+
+# ===== float text =====
+
+
+def half_way_ties(rng) -> np.ndarray:
+    """Exact 17-digit half-way ties: m * 5**j has 18 digits and ends in 5, so
+    m / 2**j (exact, m < 2**53) lies half way between two 17-digit decimals."""
+    ties = []
+    for j in range(3, 26):
+        lo, hi = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+        m = rng.integers(lo, hi, 400) | 1
+        ties.append(np.ldexp(m[m < hi].astype(float), -j))
+    return np.concatenate(ties)
+
+
+def neighbours(bases: np.ndarray, count: int) -> np.ndarray:
+    out = [bases]
+    up, down = bases, bases
+    for _ in range(count):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+@pytest.fixture(scope="module")
+def kernel_values() -> np.ndarray:
+    """Over 10**6 floats, shuffled: every case the kernel settles and every
+    case it leaves to Python, with both edges of its fast range."""
+    rng = np.random.default_rng(21)
+    powers = neighbours(np.array([float(f"1e{k}") for k in range(-6, 18)]), 40)
+    twos = neighbours(np.ldexp(1.0, np.arange(-30, 61)), 40)
+    subnormal = rng.integers(1, 2**52, 2000, dtype=np.uint64).view(float)
+    ties = half_way_ties(rng)
+    rounded = [np.round(rng.standard_normal(20000) * 10.0 ** rng.integers(0, 6), d)
+               for d in range(1, 7)]
+    parts = [
+        rng.integers(0, 2**64, 200000, dtype=np.uint64, endpoint=False).view(float),
+        np.exp(rng.uniform(math.log(1e-6), math.log(1e18), 400000)),
+        powers, twos, subnormal, ties,
+        rng.integers(0, 2**53, 50000, endpoint=True).astype(float),
+        np.arange(10000, dtype=float),
+        np.arange(100000) * 0.01,
+        *rounded,
+        rng.standard_normal(150000),
+        np.array([0.0, np.inf, np.nan, 5e-324, 2.0**-1022, 2.0**53 + 2, *EDGE_VALUES]),
+    ]
+    values = np.concatenate(parts)
+    values.view(np.uint64)[rng.random(len(values)) < 0.5] ^= np.uint64(1 << 63)  # sign bit
+    values = np.concatenate([values, -np.array(EDGE_VALUES)])
+    values = values[rng.permutation(len(values))]
+    assert len(values) > 10**6
+    return values
+
+
+def python_text(values: np.ndarray, shortest: bool) -> np.ndarray:
+    """Python's text of each value: ``%.17g``, or the ``repr`` json.dumps
+    writes (NaN, Infinity); one C-level formatting call for all of them."""
+    if shortest:
+        texts = json.dumps(values.tolist())[1:-1].split(", ")
+    else:
+        texts = ("%.17g," * len(values) % tuple(values.tolist())).split(",")[:-1]
+    return np.array([t.encode("ascii") for t in texts], dtype="S24")
+
+
+@pytest.mark.parametrize("shortest", [False, True])
+def test_float_words_are_python_text(kernel_values, shortest):
+    step = 1 << 17
+    for start in range(0, len(kernel_values), step):
+        values = kernel_values[start : start + step]
+        out = np.empty((len(values), 3), np.uint64)
+        _float_words(values, shortest, out)
+        got = out.view("S24").reshape(-1)
+        want = python_text(values, shortest)
+        bad = np.flatnonzero(got != want)
+        assert not bad.size, [(repr(values[i]), got[i], want[i]) for i in bad[:5]]
+    assert python_text(np.array([1e-4, np.nan, -np.inf]), True).tolist() == [
+        b"0.0001", b"NaN", b"-Infinity"]
+
+
+NUMBER = re.compile(r"NaN|-?Infinity|[-0-9.eE+]+")
+
+
+@pytest.mark.parametrize("rows", [CHUNK - 1, CHUNK, CHUNK + 1])
+def test_writers_are_python_text_on_kernel_values(tmp_path, kernel_values, rows):
+    # a third of the values in each table, so every value is written once
+    part = np.array_split(kernel_values, 3)[rows - CHUNK + 1]
+    table = part[: len(part) // rows * rows].reshape(rows, -1)
+    cols = [f"c{j}" for j in range(table.shape[1])]
+    write_csv(str(tmp_path / "k.csv"), "cmd", cols, table)
+    assert_same_text(read_csv(tmp_path / "k.csv"), reference_csv("cmd", cols, table))
+    # json.dumps with indent runs its pure-Python encoder, too slow for this
+    # many values: the numbers are compared with its C encoder's, and the
+    # layout on the first rows with indent itself
+    text = written(tmp_path, {"k": table})
+    assert NUMBER.findall(text) == json.dumps(table.ravel().tolist())[1:-1].split(", ")
+    payload = {"k": table[:3], "t": table[:3, :5, None]}
+    assert_same_text(written(tmp_path, payload), reference_json(as_lists(payload)))
 
 
 # ===== streaming =====

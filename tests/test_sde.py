@@ -155,6 +155,25 @@ def test_adding_particles_preserves_existing_paths():
     assert pa.slow[1].shape[0] == 8 and pb.slow[1].shape[0] == 16
 
 
+@pytest.mark.parametrize("reads_law", [True, False])
+def test_enlarging_an_ensemble_keeps_paths_only_when_no_coefficient_reads_a_law(reads_law):
+    # the noise of the first N particles is kept either way; a coefficient
+    # that reads the empirical law (c3 = 0.5 by default) makes the added
+    # particles move the first N paths
+    params = REF if reads_law else dataclasses.replace(REF, a12=0.0, c2=0.0, c3=0.0)
+    model = ref_model(params)
+    runs = [simulate_slow_fast(model, SdeConfig(epsilon=0.1, T=0.2, dt_macro=0.01,
+                                                micro_substeps=4, N=n, seed=3))
+            for n in (10, 20)]
+    small, large = runs[0], runs[1]
+    gap = np.max(np.abs(large.slow[:, :10] - small.slow))
+    if reads_law:
+        assert gap > 1e-6, gap
+    else:
+        assert np.array_equal(large.slow[:, :10], small.slow)
+        assert np.array_equal(large.fast[:, :10], small.fast)
+
+
 def test_moment_envelope():
     model = ref_model(x0=1.0, z0=1.0)
     for eps in (0.1, 0.05, 0.02):
