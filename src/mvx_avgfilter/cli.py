@@ -131,12 +131,12 @@ def run_command(cfg: RunConfig, threads: int = 1) -> RunManifest:
         with stage("signal"):
             signal = simulate_slow_fast(model, sde)
             obs = generate_observations(
-                model, signal, cfg.filter.reference_particle, sde.dt_macro, seeds["observation"]
+                model, signal, cfg.filter.reference_particle, seeds["observation"]
             )
         averaged = cfg.filter.kind == "averaged"
         drift = make_drift_oracle(model, mode="analytic-linear") if averaged else None
         with stage("filter"):
-            traj = run_filter(cfg.filter.kind, model, drift, obs, cfg.filter.filter_config(), sde)
+            traj = run_filter(cfg.filter.kind, model, drift, obs, cfg.filter.run, sde)
         table = ["t", "pi_F", "log_rho1", "ess", "resampled"], filter_rows(traj), filter_json(traj)
 
     elif command == "probe":
@@ -150,7 +150,7 @@ def run_command(cfg: RunConfig, threads: int = 1) -> RunManifest:
 
     else:  # the two sweeps
         drift = make_drift_oracle(model, mode="analytic-linear")
-        filter_cfg = cfg.filter.filter_config() if command == "sweep-filter" else None
+        filter_cfg = cfg.filter.run if command == "sweep-filter" else None
         with stage("sweep"):
             sweep = SweepConfig(
                 eps_grid=cfg.sweep.eps_grid, mc_reps=cfg.sweep.mc_reps, base_sde=sde,

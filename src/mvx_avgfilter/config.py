@@ -66,20 +66,12 @@ class FrozenSection:
 
 @dataclass(frozen=True)
 class FilterSection:
-    Nf: int
-    resample_threshold: float = 0.5
-    functional: str = "tanh"
-    p: int = 1
+    """``run`` is the filter's own settings; ``kind`` and ``reference_particle``
+    pick the arm the ``filter`` command runs and the particle it observes."""
+
+    run: FilterConfig
     kind: str = "multiscale"
     reference_particle: int = 0
-
-    def filter_config(self) -> FilterConfig:
-        return FilterConfig(
-            Nf=self.Nf,
-            resample_threshold=self.resample_threshold,
-            functional=self.functional,
-            p=self.p,
-        )
 
 
 @dataclass(frozen=True)
@@ -155,10 +147,6 @@ _integers = _vector(_is_integer, int, "integers")
 _pair = _vector(_is_number, _float, "numbers", length=2)
 
 
-def _number_or_null(value, key: str) -> Optional[float]:
-    return None if value is None else _number(value, key)
-
-
 def _params(value, key: str) -> LinearModelParams:
     if not isinstance(value, dict):
         raise ParseError(f"key '{key}' has the wrong type")
@@ -191,13 +179,12 @@ def _frozen(values: dict) -> FrozenSection:
 
 
 def _filter(values: dict) -> FilterSection:
-    section = FilterSection(**values)
-    if section.kind not in FILTER_KINDS:
-        raise InvalidParams(
-            f"filter.kind must be one of {', '.join(FILTER_KINDS)}, got '{section.kind}'"
-        )
-    section.filter_config()
-    get_functional(section.functional)
+    kind = values.pop("kind")
+    if kind not in FILTER_KINDS:
+        raise InvalidParams(f"filter.kind must be one of {', '.join(FILTER_KINDS)}, got '{kind}'")
+    section = FilterSection(kind=kind, reference_particle=values.pop("reference_particle"),
+                            run=FilterConfig(**values))
+    get_functional(section.run.functional)
     return section
 
 
@@ -237,7 +224,6 @@ _SECTIONS = {
         "micro_substeps": (_integer, 1),
         "N": (_integer, 100),
         "seed": (_integer, 0),
-        "delta_eps": (_number_or_null, None),
     }),
     "frozen": (_frozen, {
         "M": (_integer, 1000),
@@ -360,14 +346,14 @@ def _parse_document(doc: dict) -> RunConfig:
             )
         # and its sweep section decides the functional and the error orders
         _require(
-            filt.functional == sweep.functional,
+            filt.run.functional == sweep.functional,
             f"filter.functional is set by sweep.functional={sweep.functional!r} for "
-            f"sweep-filter, got {filt.functional!r}",
+            f"sweep-filter, got {filt.run.functional!r}",
         )
         _require(
-            filt.p in sweep.p_orders,
+            filt.run.p in sweep.p_orders,
             f"filter.p must be one of sweep.p_orders={list(sweep.p_orders)} for "
-            f"sweep-filter, got {filt.p!r}",
+            f"sweep-filter, got {filt.run.p!r}",
         )
 
     # the macro/micro step ratio must respect the fast contraction rate;
@@ -387,7 +373,7 @@ def _config_document(cfg: RunConfig) -> dict:
         if section is None:
             continue
         values = dataclasses.asdict(section)
-        values.update(values.pop("run", {}))  # the frozen run's keys sit one level down
+        values.update(values.pop("run", {}))  # a frozen or filter run's keys sit one level down
         # model.kind is held by no dataclass: only its default, 'linear', parses
         doc[name] = {key: values.get(key, default) for key, (_, default) in fields.items()}
     return doc

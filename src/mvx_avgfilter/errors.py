@@ -32,10 +32,6 @@ class Instability(MvxError):
         self.time = time
 
 
-class MissingDelta(MvxError):
-    """Auxiliary-process segmentation requested without delta_eps set."""
-
-
 class InsufficientWindow(MvxError):
     """Averaging window too short relative to the step size."""
 

@@ -25,7 +25,6 @@ import hashlib
 import json
 import math
 import os
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -137,18 +136,12 @@ class SweepRow:
 
 @dataclass
 class SweepReport:
-    """Aggregated sweep output.
-
-    rows, envelope, fits and config_digest are reproducible bit for bit
-    under a fixed config; runtime_s is wall clock and is excluded from
-    that guarantee (and from the CSV export).
-    """
+    """Aggregated sweep output; reproducible bit for bit under a fixed config."""
 
     kind: str
     rows: List[SweepRow]
     envelope: List[dict]
     fits: Dict[int, Tuple[float, float, float]]
-    runtime_s: float
     config_digest: str
 
 
@@ -276,7 +269,6 @@ def _assemble_report(
     sweep: SweepConfig,
     results: Dict[Tuple[int, int], Dict[int, float]],
     digest: str,
-    t_start: float,
 ) -> SweepReport:
     rows: List[SweepRow] = []
     envelope: List[dict] = []
@@ -311,7 +303,6 @@ def _assemble_report(
         rows=rows,
         envelope=envelope,
         fits=fits,
-        runtime_s=time.perf_counter() - t_start,
         config_digest=digest,
     )
 
@@ -339,7 +330,6 @@ def averaging_error_sweep(model: ModelSpec, drift, sweep: SweepConfig) -> SweepR
     takes the per-particle sup over the grid, and averages |sup|^(2p) over
     the ensemble.  SEs come from the spread across reps.
     """
-    t0 = time.perf_counter()
     job_cfg = _job_configs(sweep, model, "avg")
 
     def plan(key):
@@ -356,7 +346,7 @@ def averaging_error_sweep(model: ModelSpec, drift, sweep: SweepConfig) -> SweepR
 
     results = _run_jobs_ahead(sweep, job, plan)
     digest = _config_digest("averaging", sweep)
-    return _assemble_report("averaging", sweep, results, digest, t0)
+    return _assemble_report("averaging", sweep, results, digest)
 
 
 def filter_error_sweep(
@@ -379,7 +369,6 @@ def filter_error_sweep(
         raise InvalidParams(f"arms must be a pair drawn from {FILTER_KINDS}, got {arms!r}")
     if "averaged" in arms and drift is None:
         raise InvalidParams("averaged filter arm needs a drift oracle")
-    t0 = time.perf_counter()
     fcfg = sweep.filter_cfg
     job_cfg = _job_configs(sweep, model, "filt")
     seed0 = sweep.base_sde.seed
@@ -400,9 +389,7 @@ def filter_error_sweep(
     def job(key):
         cfg = job_cfg(key)
         signal = simulate_slow_fast(model, cfg)
-        obs = generate_observations(
-            model, signal, reference_particle=0, dt=cfg.dt_macro, seed_v=obs_seed(key)
-        )
+        obs = generate_observations(model, signal, reference_particle=0, seed_v=obs_seed(key))
         dw_slow = _filter_slow_increments(model, fcfg, cfg)
         runs = [
             run_filter(
@@ -418,7 +405,7 @@ def filter_error_sweep(
 
     results = _run_jobs_ahead(sweep, job, plan)
     digest = _config_digest("filter", sweep, functional=fcfg.functional, arms=arms)
-    return _assemble_report("filter", sweep, results, digest, t0)
+    return _assemble_report("filter", sweep, results, digest)
 
 
 def rate_fit(report: SweepReport, p: Optional[int] = None) -> Tuple[float, float, float]:

@@ -73,7 +73,6 @@ class ObservationPath:
     increments: np.ndarray
     signal_law_trace: List[MeasureSummary]
     fast_law_trace: Optional[List[MeasureSummary]]
-    seed_v: int
 
     def __post_init__(self):
         if len(self.times) != len(self.increments) + 1:
@@ -197,14 +196,13 @@ def generate_observations(
     model: ModelSpec,
     signal: PathEnsemble,
     reference_particle: int,
-    dt: float,
     seed_v: int,
 ) -> ObservationPath:
     """Observe one designated particle of a simulated signal ensemble.
 
     dY_k = dV_k + h(X_ref at t_k, empirical slow law at t_k) * dt on the
-    signal's macro grid or an exact coarsening of it (dt an integer multiple
-    of the simulation step).  The law traces summarize the states as the run did.
+    signal's own grid, whose step dt is ``signal.times[1] - signal.times[0]``.
+    The law traces summarize the states as the run did.
     """
 
     n_particles = signal.slow.shape[1]
@@ -212,24 +210,20 @@ def generate_observations(
         raise IndexOutOfRange(
             f"reference particle {reference_particle} outside [0, {n_particles})"
         )
-    sim_dt = float(signal.times[1] - signal.times[0])
-    stride = _stride(dt, sim_dt, len(signal.times) - 1)
-    times = signal.times[::stride]
-    n_obs = len(times) - 1
-    slow_trace = [summarize_points(points) for points in signal.slow[::stride]]
+    dt = float(signal.times[1] - signal.times[0])
+    slow_trace = [summarize_points(points) for points in signal.slow]
     fast_trace = None
     if signal.fast is not None:
-        fast_trace = [summarize_points(points) for points in signal.fast[::stride]]
+        fast_trace = [summarize_points(points) for points in signal.fast]
 
-    x_ref = signal.slow[:-1:stride, reference_particle]
+    x_ref = signal.slow[:-1, reference_particle]
     h = np.array([model.h(x, mu) for x, mu in zip(x_ref, slow_trace)], dtype=float)
-    dv = normal_increments(*_observation_noise(seed_v, n_obs, h.shape[-1], dt))[:, 0, :]
+    dv = normal_increments(*_observation_noise(seed_v, len(x_ref), h.shape[-1], dt))[:, 0, :]
     return ObservationPath(
-        times=times,
+        times=signal.times,
         increments=dv + h * dt,
         signal_law_trace=slow_trace,
         fast_law_trace=fast_trace,
-        seed_v=seed_v,
     )
 
 

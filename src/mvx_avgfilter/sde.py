@@ -21,7 +21,6 @@ length; the frozen run takes its block the same way, one step a group.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import weakref
@@ -30,9 +29,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridMismatch, Instability, InvalidParams, MissingDelta
+from .errors import DimensionMismatch, GridMismatch, Instability, InvalidParams
 from .measure import MeasureSummary, ParticleCloud, summarize_points
-from .model import ModelSpec, _require_finite
+from .model import ModelSpec, _float, _require_finite
 from .streams import _increment_chunks, _increment_groups, normal_increments
 
 STABILITY_CAP = 0.25
@@ -55,10 +54,9 @@ class SdeConfig:
     micro_substeps: int = 1
     N: int = 2
     seed: int = 0
-    delta_eps: Optional[float] = None
 
     def __post_init__(self):
-        _require_finite(self, ("epsilon", "T", "dt_macro", "delta_eps"))
+        _require_finite(self, ("epsilon", "T", "dt_macro"))
         if not (0.0 < self.epsilon <= 1.0):
             raise InvalidParams(f"epsilon must lie in (0, 1], got {self.epsilon}")
         if self.T <= 0.0:
@@ -80,8 +78,6 @@ class SdeConfig:
             raise InvalidParams(
                 f"dt_macro={self.dt_macro} does not tile [0, T={self.T}] exactly"
             )
-        if self.delta_eps is not None and self.delta_eps <= 0.0:
-            raise InvalidParams(f"delta_eps must be positive, got {self.delta_eps}")
 
     @property
     def n_steps(self) -> int:
@@ -127,8 +123,10 @@ class PathEnsemble:
     ``aux`` is set only by :func:`simulate_auxiliary`.  Row k of an array is
     the ensemble at ``times[k]``; its law reaches the coefficients only as a
     :class:`MeasureSummary` of that row.  ``config`` is the :class:`SdeConfig`
-    or :class:`FrozenRunConfig` of the run that made the path; with the run's
-    stream labels it fixes the driving increments bit for bit.
+    or :class:`FrozenRunConfig` of the run that made the path (an auxiliary
+    path keeps its slow-fast run's); with the run's stream labels it fixes the
+    driving increments bit for bit, and :func:`simulate_auxiliary` reads the
+    grid from it.
     """
 
     times: np.ndarray
@@ -491,37 +489,28 @@ def coupled_pair(
     )
 
 
-def simulate_auxiliary(model: ModelSpec, slow_path: PathEnsemble, cfg: SdeConfig) -> PathEnsemble:
+def simulate_auxiliary(model: ModelSpec, slow_path: PathEnsemble, delta_eps: float) -> PathEnsemble:
     """Rebuild the fast path with slow input frozen per delta_eps block.
 
-    Restart points k*delta_eps are rounded to the macro grid; at each restart
-    the auxiliary state is reset to the stored fast cloud and the slow input
-    (and its law) are pinned until the next restart.  The driving increments
-    are regenerated from the path's config, which ``cfg`` must equal in every
-    field but delta_eps, so away from the frozen inputs this is the same
-    discrete dynamics as the original run.
+    ``slow_path`` is a :func:`simulate_slow_fast` run, and its config gives
+    the grid, substeps, epsilon, seed and N.  Restart points k*delta_eps are
+    rounded to the macro grid; at each restart the auxiliary state is reset
+    to the stored fast cloud and the slow input (and its law) are pinned
+    until the next restart.  The driving increments are regenerated from the
+    path's config, so away from the frozen inputs this is the same discrete
+    dynamics as the original run.
     """
 
-    if cfg.delta_eps is None:
-        raise MissingDelta("delta_eps is required for the auxiliary construction")
-    n_steps = cfg.n_steps
-    if n_steps != len(slow_path.times) - 1:
-        raise GridMismatch(
-            f"config has {n_steps} macro steps but the ensemble path has "
-            f"{len(slow_path.times) - 1}"
-        )
-    made_by = slow_path.config
-    if not (isinstance(made_by, SdeConfig)
-            and dataclasses.replace(made_by, delta_eps=cfg.delta_eps) == cfg):
-        raise GridMismatch(
-            f"config {cfg!r} differs from the ensemble's run config {made_by!r} "
-            "in a field other than delta_eps"
-        )
-    if slow_path.fast is None:
-        raise GridMismatch("ensemble has no fast path to restart from")
+    delta = _float(delta_eps)
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise InvalidParams(f"delta_eps must be finite and positive, got {delta}")
+    cfg = slow_path.config
+    if not isinstance(cfg, SdeConfig) or slow_path.fast is None:
+        raise GridMismatch("ensemble has no slow-fast run to restart from")
 
+    n_steps = cfg.n_steps
     times = slow_path.times
-    seg = max(1, int(round(cfg.delta_eps / cfg.dt_macro)))
+    seg = max(1, int(round(delta / cfg.dt_macro)))
     dws, h, noise_scale = _fast_increments(model, cfg, FAST_LABEL, cfg.N)
 
     what = "auxiliary fast state"

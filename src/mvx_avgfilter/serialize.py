@@ -435,7 +435,6 @@ def sweep_rows(report) -> List[list]:
 
 
 def sweep_json(report) -> dict:
-    # runtime_s deliberately omitted: the payload is reproducible, wall clock is not
     return {
         "kind": report.kind,
         "rows": [dataclasses.asdict(r) for r in report.rows],

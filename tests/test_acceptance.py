@@ -171,7 +171,7 @@ def test_07_normalization_and_weighted_mean_identity():
     for seed in (107, 207, 307):
         sde = dataclasses.replace(cfg, seed=seed)
         signal = simulate_slow_fast(model, sde)
-        obs = generate_observations(model, signal, 0, sde.dt_macro, seed_v=seed + 7000)
+        obs = generate_observations(model, signal, 0, seed_v=seed + 7000)
         ones = run_filter(
             "multiscale", model, None, obs,
             FilterConfig(Nf=500, resample_threshold=0.5, functional="one", p=1), sde,
@@ -204,7 +204,7 @@ def test_08_particle_filter_tracks_kalman():
     model = make_linear_sensor_model(params, gain=1.0, x0=1.0, z0=0.0)
     sde = SdeConfig(epsilon=0.1, T=1.0, dt_macro=0.01, micro_substeps=1, N=200, seed=108)
     signal = simulate_slow_fast(model, sde)
-    obs = generate_observations(model, signal, 0, sde.dt_macro, seed_v=8081)
+    obs = generate_observations(model, signal, 0, seed_v=8081)
     kal = kalman_oracle(model, obs)
     avg_std = float(np.mean(np.sqrt(kal.variance)))
     # one run's time-averaged error is a single draw of a serially correlated

@@ -216,7 +216,7 @@ def test_sweep_filter_refuses_a_functional_or_order_its_sweep_does_not_use(filt,
         parse_config(cfg_text(command="sweep-filter", filter=dict(filt, Nf=60), sweep=sweep))
     # the filter command still takes them
     cfg = parse_config(cfg_text(command="filter", filter=dict(filt, Nf=60)))
-    assert cfg.filter.functional == filt.get("functional", "tanh")
+    assert cfg.filter.run.functional == filt.get("functional", "tanh")
 
 
 def test_sweep_filter_takes_a_functional_and_order_its_sweep_uses():
@@ -457,7 +457,6 @@ FROZEN = {"M": 10, "dt": 0.01, "burn_in": 0.1, "avg_window": 0.1}
     "overrides,field",
     [
         ({"sde": {"T": math.inf}}, "T"),
-        ({"sde": {"delta_eps": math.nan}}, "delta_eps"),
         ({"command": "frozen", "frozen": dict(FROZEN, dt=math.nan)}, "dt"),
         ({"command": "frozen", "frozen": dict(FROZEN, avg_window=math.inf)}, "avg_window"),
         ({"command": "probe", "model": {"params": {"gamma": math.nan}}}, "gamma"),
@@ -468,7 +467,7 @@ FROZEN = {"M": 10, "dt": 0.01, "burn_in": 0.1, "avg_window": 0.1}
         # an integer beyond the float range reads as inf, as 1e999 does
         ({"sde": {"T": 10**400}}, "T"),
     ],
-    ids=["T-inf", "delta_eps-nan", "dt-nan", "avg_window-inf", "gamma-nan", "x0-nan",
+    ids=["T-inf", "dt-nan", "avg_window-inf", "gamma-nan", "x0-nan",
          "z0-inf", "x-nan", "mu_mean-inf", "T-401-digits"],
 )
 def test_main_refuses_non_finite_config_values(tmp_path, capsys, overrides, field):

@@ -29,7 +29,6 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # the JSON kind README names for each reader of the table
 KIND_NAMES = {
     config._number: "number",
-    config._number_or_null: "number or null",
     config._integer: "integer",
     config._string: "string",
     config._numbers: "list of numbers",
@@ -65,7 +64,6 @@ INTEGERS = st.one_of(st.sampled_from([0, 1, 2, 4, 10, 20, 100]), st.integers(-3,
 # any value of each table kind
 DRAWS = {
     config._number: NUMBERS,
-    config._number_or_null: st.one_of(st.none(), NUMBERS),
     config._integer: INTEGERS,
     config._string: st.sampled_from(["tanh", "identity", "linear", "multiscale", "averaged"]),
     config._numbers: st.one_of(
@@ -184,6 +182,14 @@ def test_the_top_level_seed_refuses_a_bool():
         parse_config(json.dumps({"command": "probe", "seed": True}))
 
 
+@pytest.mark.parametrize("value", [0.1, None])
+def test_the_retired_sde_delta_eps_key_is_refused_as_unknown(value):
+    # the auxiliary run's segment length is an argument of simulate_auxiliary
+    doc = {"command": "simulate", "sde": {"delta_eps": value}}
+    with pytest.raises(ParseError, match=r"unknown key 'sde\.delta_eps'"):
+        parse_config(json.dumps(doc))
+
+
 # ===== the model's widths and parameters =====
 
 
@@ -276,23 +282,24 @@ BENCHMARK_CONFIGS = {
     },
 }
 
-# sha256 of serialize_config, then config_digest, as the hand-written parser gave them
+# sha256 of serialize_config, then config_digest, as the hand-written parser gave them;
+# the four with an sde section moved once, when the sde.delta_eps key was retired
 PINS = {
     "readme": (
-        "1f9f5bce05317967dca7a1b09177e9ed945abe2b43a727cc506ba37bb946e505",
-        "ea6f43d03379d11eb94941d0f8a92ca2e135bcd80f90849a8f2d60d7fdcd6109",
+        "45c5f839080464fd313f6d1cae03314ecab0d7613df33d17d53ea6e53b88d19b",
+        "21626ae0c68d208f2a3e54e501896d122a0996dbf3e9e6eaf51843ee95da6a99",
     ),
     "avg-sweep": (
-        "196dcd706faefb686cfd703a96a49c2cd382e122648eca5f948b7682d1b5b569",
-        "c9928c2bac1451cf157dd2f85a76f5736ed475a4560a3ae53ea5b9697340d31f",
+        "339ebb0b3e1305f2c0c58bfa13168b9c9acd924b4ce874e37878adf2c16d6696",
+        "d72134f719eb6967639c4ec11dc81b4f7a5e98e7d3324168a150c82dd93fb3fc",
     ),
     "filter-sweep": (
-        "2f4378f875a0841f914536d9ac4181bba3ced76baeb930177a21d766a4048004",
-        "c4c80104bbb6004ac65e3916cd7170a4ac273350a522b0ec9209e20a2c761f22",
+        "af5c39b398f7f86780eec0a85f441d9d32371b415ebe5f96faaa8fe484f49ab4",
+        "aff9247057add8b883c0589383364ea2d79521eaef1b66ce2d4a0dc1b038d149",
     ),
     "simulate-write": (
-        "70944e8da741d171016ca75020fdd67558ee2bd3e59c59bbdd7ca6f889950252",
-        "9d811c79695681c295b96374625033b7c5db023e62a33ee72f7f24af5189fb5e",
+        "0035f99666ea043f884d24808c9f363b50efdcf203c311d443f1d49630cfb008",
+        "f62e8ce375d6298287db44d0f5630ce5eb3eb8f087f475de435156ade9f1af88",
     ),
     "oracle-estimated": (
         "b133017a692ae073f569390ca559b8b7bc087deb3c5bb1392c2c645ff5dd3f45",

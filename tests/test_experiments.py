@@ -692,9 +692,7 @@ def synthetic_report(eps_values, means, p=1):
         SweepRow(eps=e, delta_eps=delta_schedule(e), p=p, mean_error=m, std_error=0.0, reps=4)
         for e, m in zip(eps_values, means)
     ]
-    return SweepReport(
-        kind="averaging", rows=rows, envelope=[], fits={}, runtime_s=0.0, config_digest="x"
-    )
+    return SweepReport(kind="averaging", rows=rows, envelope=[], fits={}, config_digest="x")
 
 
 def test_rate_fit_linear_power():

@@ -64,7 +64,7 @@ def test_pure_brownian_quadratic_variation():
     model = silent_model()
     cfg = SdeConfig(epsilon=0.1, T=1.0, dt_macro=1e-3, micro_substeps=1, N=4, seed=1)
     path = simulate_slow_fast(model, cfg)
-    obs = generate_observations(model, path, 0, dt=1e-3, seed_v=7)
+    obs = generate_observations(model, path, 0, seed_v=7)
     qv = float(np.sum(obs.increments**2))
     assert 0.9 <= qv <= 1.1
 
@@ -74,7 +74,7 @@ def test_increment_variance_scales_with_dt():
     for dt, steps in ((0.01, 100), (0.005, 200)):
         cfg = SdeConfig(epsilon=0.1, T=1.0, dt_macro=dt, micro_substeps=1, N=4, seed=2)
         path = simulate_slow_fast(model, cfg)
-        obs = generate_observations(model, path, 0, dt=dt, seed_v=3)
+        obs = generate_observations(model, path, 0, seed_v=3)
         v = float(np.var(obs.increments, ddof=1))
         assert abs(v - dt) <= 3.0 * dt * math.sqrt(2.0 / (steps - 1))
 
@@ -83,7 +83,7 @@ def test_increments_within_sensor_bound_of_noise():
     model = ref_model()  # |h| <= 2 sqrt(l) = 2
     cfg = signal_cfg()
     path = simulate_slow_fast(model, cfg)
-    obs = generate_observations(model, path, 2, dt=cfg.dt_macro, seed_v=11)
+    obs = generate_observations(model, path, 2, seed_v=11)
     dv = normal_increments(11, "observation", len(obs.increments), 1, 1, math.sqrt(0.01))[:, 0, :]
     assert np.all(np.abs(obs.increments) <= np.abs(dv) + 2.0 * 0.01 + 1e-12)
 
@@ -92,38 +92,31 @@ def test_reference_particle_bounds():
     model = ref_model()
     path = simulate_slow_fast(model, signal_cfg(N=16))
     with pytest.raises(IndexOutOfRange):
-        generate_observations(model, path, 16, dt=0.01, seed_v=0)
+        generate_observations(model, path, 16, seed_v=0)
     with pytest.raises(IndexOutOfRange):
-        generate_observations(model, path, -1, dt=0.01, seed_v=0)
+        generate_observations(model, path, -1, seed_v=0)
 
 
-def test_observation_grid_must_be_coarsening():
-    model = ref_model()
-    path = simulate_slow_fast(model, signal_cfg())
-    with pytest.raises(GridMismatch):
-        generate_observations(model, path, 0, dt=0.015, seed_v=0)
-
-
-def test_coarsened_observation_grid():
+def test_observations_on_the_signal_grid():
     model = ref_model()
     path = simulate_slow_fast(model, signal_cfg(T=0.5, dt=0.01))
-    obs = generate_observations(model, path, 0, dt=0.05, seed_v=5)
-    assert np.array_equal(obs.times, path.times[::5])
+    obs = generate_observations(model, path, 0, seed_v=5)
+    assert np.array_equal(obs.times, path.times)
     assert len(obs.increments) == len(obs.times) - 1
     assert len(obs.signal_law_trace) == len(obs.times)
     assert len(obs.fast_law_trace) == len(obs.times)
-    dv = normal_increments(5, "observation", len(obs.increments), 1, 1, math.sqrt(0.05))
+    dv = normal_increments(5, "observation", len(obs.increments), 1, 1, math.sqrt(0.01))
     for k, increment in enumerate(obs.increments):
         # the reference: dY_k = dV_k + h(X_ref at t_k, slow law at t_k) * dt, record by record
-        h_k = np.asarray(model.h(path.slow[5 * k, 0], obs.signal_law_trace[k]))
-        assert increment.tobytes() == (dv[k, 0] + h_k * 0.05).tobytes()
+        h_k = np.asarray(model.h(path.slow[k, 0], obs.signal_law_trace[k]))
+        assert increment.tobytes() == (dv[k, 0] + h_k * 0.01).tobytes()
 
 
 def test_observation_determinism():
     model = ref_model()
     path = simulate_slow_fast(model, signal_cfg())
-    a = generate_observations(model, path, 1, dt=0.01, seed_v=9)
-    b = generate_observations(model, path, 1, dt=0.01, seed_v=9)
+    a = generate_observations(model, path, 1, seed_v=9)
+    b = generate_observations(model, path, 1, seed_v=9)
     assert np.array_equal(a.increments, b.increments)
 
 
@@ -170,7 +163,7 @@ def test_functional_registry():
 
 def make_obs(model, cfg, ref_idx=0, seed_v=40):
     path = simulate_slow_fast(model, cfg)
-    return generate_observations(model, path, ref_idx, dt=cfg.dt_macro, seed_v=seed_v)
+    return generate_observations(model, path, ref_idx, seed_v=seed_v)
 
 
 def test_constant_functional_is_exactly_one():
@@ -294,18 +287,15 @@ def test_averaged_kind_runs():
 @pytest.mark.parametrize(
     "dt, message", [(0.015, "not an integer multiple"), (0.03, "stride 3 does not divide")]
 )
-@pytest.mark.parametrize("caller", ["generate_observations", "martingale_check"])
+@pytest.mark.parametrize("caller", ["martingale_check"])
 def test_observation_stride_rule(caller, dt, message):
-    # 50 steps of 0.01: 0.015 is no multiple of the step, and 3 does not divide 50
+    # 50 steps of 0.01: 0.015 is no multiple of the step, and 3 does not divide 50.
+    # An observation record takes the signal's own step, so only the martingale
+    # check has a stride left to refuse.
     model = ref_model()
     cfg = signal_cfg(T=0.5, dt=0.01)
-    if caller == "generate_observations":
-        path = simulate_slow_fast(model, cfg)
-        call = lambda: generate_observations(model, path, 0, dt=dt, seed_v=0)  # noqa: E731
-    else:
-        call = lambda: martingale_check(model, 1000, cfg, dt=dt)  # noqa: E731
     with pytest.raises(GridMismatch, match=message):
-        call()
+        martingale_check(model, 1000, cfg, dt=dt)
 
 
 def test_grid_mismatch_between_obs_and_filter():
@@ -327,7 +317,6 @@ def test_multiscale_needs_fast_trace():
         increments=obs.increments,
         signal_law_trace=obs.signal_law_trace,
         fast_law_trace=None,
-        seed_v=obs.seed_v,
     )
     fcfg = FilterConfig(Nf=20, resample_threshold=0.5, functional="one", p=1)
     with pytest.raises(GridMismatch):
@@ -443,7 +432,7 @@ def sensor_model(gain=1.0, a=-1.0, s1=0.5, x0=1.0):
 def make_sensor_obs(model, T=1.0, dt=0.01, seed=61, seed_v=62):
     cfg = SdeConfig(epsilon=0.1, T=T, dt_macro=dt, micro_substeps=1, N=8, seed=seed)
     path = simulate_slow_fast(model, cfg)
-    return generate_observations(model, path, 0, dt=dt, seed_v=seed_v)
+    return generate_observations(model, path, 0, seed_v=seed_v)
 
 
 def test_kalman_zero_gain_reduces_to_prior():
@@ -533,7 +522,7 @@ def test_multiscale_filter_memory_does_not_grow_with_run_length():
     peaks = []
     for T in (2.0, 4.0):
         cfg = SdeConfig(epsilon=0.01, T=T, dt_macro=0.01, micro_substeps=8, N=20, seed=5)
-        obs = generate_observations(model, simulate_slow_fast(model, cfg), 0, cfg.dt_macro, 6)
+        obs = generate_observations(model, simulate_slow_fast(model, cfg), 0, 6)
         fcfg = FilterConfig(Nf=500, resample_threshold=0.5, functional="tanh")
         tracemalloc.start()
         try:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from mvx_avgfilter.errors import InvalidParams
 from mvx_avgfilter.measure import MeasureSummary
 from mvx_avgfilter.model import LinearModelParams, ModelSpec, make_linear_model, probe_assumptions
-from mvx_avgfilter.sde import FrozenRunConfig, SdeConfig
+from mvx_avgfilter.sde import FrozenRunConfig, SdeConfig, simulate_auxiliary, simulate_slow_fast
 from mvx_avgfilter.streams import stream
 
 
@@ -86,11 +86,17 @@ def test_make_linear_model_refuses_a_non_finite_start(x0, z0, field):
         make_linear_model(REF, n=2, m=2, l=2, x0=x0, z0=z0)
 
 
+def _auxiliary_run(delta_eps):
+    model = make_linear_model(REF, n=1, m=1, l=1, x0=[1.0], z0=[1.0])
+    path = simulate_slow_fast(model, SdeConfig(epsilon=0.1, T=0.02, dt_macro=0.01, N=2))
+    return simulate_auxiliary(model, path, delta_eps)
+
+
 @pytest.mark.parametrize(
     "build,kwargs,field",
     [
         (SdeConfig, dict(epsilon=0.1, T=10**400, dt_macro=0.01, N=10), "T"),
-        (SdeConfig, dict(epsilon=0.1, T=1.0, dt_macro=0.01, N=10, delta_eps=10**400), "delta_eps"),
+        (_auxiliary_run, dict(delta_eps=10**400), "delta_eps"),
         (FrozenRunConfig, dict(M=10, dt=0.01, burn_in=10**400, avg_window=1.0), "burn_in"),
         (LinearModelParams, dict(gamma=10**400), "gamma"),
         (LinearModelParams, dict(c3=-(10**400)), "c3"),

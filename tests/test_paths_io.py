@@ -103,7 +103,7 @@ def assert_same_text(got: str, want: str) -> None:
 
 def all_paths():
     model = linear(2)
-    cfg = sde_cfg(delta_eps=0.05)
+    cfg = sde_cfg()
     sf = simulate_slow_fast(model, cfg)
     frozen = simulate_frozen(
         model, np.array([0.7, -0.1]), dirac_summary([0.2, 0.4]),
@@ -113,7 +113,7 @@ def all_paths():
         "slow-fast": sf,
         "frozen": frozen,
         "averaged": simulate_averaged(model, analytic_drift(model), cfg),
-        "auxiliary": simulate_auxiliary(model, sf, cfg),
+        "auxiliary": simulate_auxiliary(model, sf, 0.05),
     }
 
 
@@ -161,10 +161,10 @@ def test_ensemble_wraps_caller_arrays_without_freezing_them():
 def test_law_trace_equals_cloud_summaries_bitwise(n_particles):
     model = linear(2)
     signal = simulate_slow_fast(model, sde_cfg(N=n_particles))
-    obs = generate_observations(model, signal, 3, 0.02, seed_v=5)
+    obs = generate_observations(model, signal, 3, seed_v=5)
     for trace, states in ((obs.signal_law_trace, signal.slow), (obs.fast_law_trace, signal.fast)):
         for k, summary in enumerate(trace):
-            want = summarize_points(states[2 * k])
+            want = summarize_points(states[k])
             assert summary.mean.tobytes() == want.mean.tobytes()
             assert summary.second_moment == want.second_moment
 
@@ -185,7 +185,7 @@ def test_law_traces_are_the_summaries_the_signal_run_used(d):
     model = dataclasses.replace(base, b1=b1, b2=b2)
     cfg = sde_cfg(N=37)
     signal = simulate_slow_fast(model, cfg)
-    obs = generate_observations(model, signal, 3, cfg.dt_macro, seed_v=5)
+    obs = generate_observations(model, signal, 3, seed_v=5)
     seen_nu = seen_nu[:: cfg.micro_substeps]
     for trace, seen in ((obs.signal_law_trace, seen_mu), (obs.fast_law_trace, seen_nu)):
         # the run summarizes the state each step starts from: all but the last
@@ -238,7 +238,7 @@ def test_frozen_json_matches_cloud_lists(tmp_path):
 def test_filter_json(tmp_path):
     model = linear(1)
     cfg = sde_cfg(N=20)
-    obs = generate_observations(model, simulate_slow_fast(model, cfg), 0, 0.01, seed_v=3)
+    obs = generate_observations(model, simulate_slow_fast(model, cfg), 0, seed_v=3)
     traj = run_filter(
         "multiscale", model, None, obs,
         FilterConfig(Nf=30, resample_threshold=0.5, functional="tanh"), cfg,
