@@ -243,6 +243,8 @@ def ergodic_decay_profile(
     if t_grid is None:
         t_grid = np.linspace(0.0, 3.0, 31)
     t_grid = np.asarray(t_grid, dtype=float)
+    if not (t_grid.size and np.isfinite(t_grid).all() and (t_grid >= 0.0).all()):
+        raise InvalidParams(f"t_grid must be nonempty, finite and >= 0, got {t_grid.tolist()}")
     total = float(t_grid.max())
     if total <= 0.0:
         raise InvalidParams("t_grid must reach past 0")
@@ -335,6 +337,8 @@ class AveragedDriftOracle:
         self.model = model
         self.frozen_cfg = frozen_cfg
         self.quant = float(quant)
+        if not (math.isfinite(self.quant) and self.quant > 0.0):
+            raise InvalidParams(f"quant must be finite and positive, got {quant!r}")
         self.stats = {"hits": 0, "misses": 0}
         self._cache = {}
         self._lock = threading.Lock()

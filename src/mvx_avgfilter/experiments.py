@@ -43,13 +43,12 @@ from .filtering import (
     FILTER_KINDS,
     FILTER_SLOW_LABEL,
     FilterConfig,
-    _filter_slow_increments,
     _observation_noise,
     filter_discrepancy,
     generate_observations,
     run_filter,
 )
-from .model import ModelSpec
+from .model import ModelSpec, _require_integer
 from .sde import (
     FAST_LABEL,
     SLOW_LABEL,
@@ -62,7 +61,7 @@ from .sde import (
     simulate_slow_fast,
     suggest_micro_substeps,
 )
-from .streams import derive_seed
+from .streams import derive_seed, normal_increments
 
 
 def delta_schedule(epsilon: float) -> float:
@@ -118,6 +117,7 @@ class SweepConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "eps_grid", tuple(float(e) for e in self.eps_grid))
+        _require_integer(self, ("mc_reps", "p_orders", "threads"))
         object.__setattr__(self, "p_orders", tuple(int(p) for p in self.p_orders))
         validate_sweep_grid(self.eps_grid, self.mc_reps, self.p_orders)
         if self.threads < 1:
@@ -390,7 +390,7 @@ def filter_error_sweep(
         cfg = job_cfg(key)
         signal = simulate_slow_fast(model, cfg)
         obs = generate_observations(model, signal, reference_particle=0, seed_v=obs_seed(key))
-        dw_slow = _filter_slow_increments(model, fcfg, cfg)
+        dw_slow = normal_increments(*_slow_noise(model, cfg, FILTER_SLOW_LABEL, fcfg.Nf))
         runs = [
             run_filter(
                 arm, model, drift if arm == "averaged" else None, obs, fcfg, cfg,

@@ -32,7 +32,7 @@ from .errors import (
     WeightCollapse,
 )
 from .measure import MeasureSummary, summarize_points, systematic_resample_indices
-from .model import LinearModelParams, ModelSpec, make_linear_model
+from .model import LinearModelParams, ModelSpec, _require_integer, make_linear_model
 from .sde import (
     PathEnsemble,
     SdeConfig,
@@ -93,6 +93,7 @@ class FilterConfig:
     p: int = 1
 
     def __post_init__(self):
+        _require_integer(self, ("Nf", "p"))
         if self.Nf < 10:
             raise InvalidParams(f"Nf must be >= 10, got {self.Nf}")
         if not (0.0 < self.resample_threshold <= 1.0):
@@ -257,11 +258,6 @@ def _record_pi(logw: np.ndarray, f_vals: np.ndarray) -> tuple:
     return pi, ess
 
 
-def _filter_slow_increments(model: ModelSpec, cfg: FilterConfig, sde_cfg: SdeConfig):
-    """The filter particles' slow block."""
-    return normal_increments(*_slow_noise(model, sde_cfg, FILTER_SLOW_LABEL, cfg.Nf))
-
-
 def run_filter(
     signal_kind: str,
     model: ModelSpec,
@@ -282,8 +278,8 @@ def run_filter(
     threshold * Nf, and the running log of the mean unnormalized weight is
     carried across resets.
 
-    ``_dw_slow`` is private: a sweep job draws the slow particle block once
-    with :func:`_filter_slow_increments` and hands it to both filter arms.
+    ``_dw_slow`` is private: a sweep job draws the filter particles' slow
+    block once and hands it to both filter arms.
     """
 
     if signal_kind not in FILTER_KINDS:
@@ -310,7 +306,8 @@ def run_filter(
     f_func = get_functional(cfg.functional)
     nf = cfg.Nf
     x = _tile_state(model.x0, nf)
-    dw_slow = _filter_slow_increments(model, cfg, sde_cfg) if _dw_slow is None else _dw_slow
+    if _dw_slow is None:
+        _dw_slow = normal_increments(*_slow_noise(model, sde_cfg, FILTER_SLOW_LABEL, nf))
     if multiscale:
         z = _tile_state(model.z0, nf)
         dws, h, noise_scale = _fast_increments(model, sde_cfg, FILTER_FAST_LABEL, nf)
@@ -360,10 +357,10 @@ def run_filter(
         if multiscale:
             nu_k = obs.fast_law_trace[k]
             x, z = _macro_step(
-                model, x, mu_k, z, nu_k, dw_slow[k], dt, next(dws), h, noise_scale
+                model, x, mu_k, z, nu_k, _dw_slow[k], dt, next(dws), h, noise_scale
             )
         else:
-            x = _slow_step(model, x, mu_k, drift(x, mu_k), dw_slow[k], dt)
+            x = _slow_step(model, x, mu_k, drift(x, mu_k), _dw_slow[k], dt)
         _check_finite(x, "filter particles", k + 1, times[k + 1])
         if multiscale:
             _check_finite(z, "filter fast state", k + 1, times[k + 1])

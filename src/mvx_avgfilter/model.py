@@ -26,6 +26,7 @@ distances).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, Tuple
 
@@ -50,6 +51,20 @@ def _require_finite(cfg, names) -> None:
         value = getattr(cfg, name)
         if value is not None and not all(math.isfinite(_float(v)) for v in np.ravel(value)):
             raise InvalidParams(f"{name} must be finite, got {value}")
+
+
+def _require_integer(cfg, names) -> None:
+    """Refuse a bool or a non-integral value in the named count or seed fields,
+    or in any entry of a tuple or list field; numpy integers pass."""
+    for name in names:
+        value = getattr(cfg, name)
+        for v in value if isinstance(value, (tuple, list)) else (value,):
+            try:
+                if isinstance(v, (bool, np.bool_)):
+                    raise TypeError
+                operator.index(v)
+            except TypeError:
+                raise InvalidParams(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -79,7 +94,8 @@ class LinearModelParams:
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """Immutable problem definition; safe to share across worker threads."""
+    """Immutable problem definition, compared by identity (``sde`` caches a probed
+    contraction rate per instance)."""
 
     n: int
     m: int

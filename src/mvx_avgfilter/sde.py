@@ -8,20 +8,22 @@ at the start of each macro step; the slow update uses the macro-start fast
 state.  This macro step (:func:`_macro_step`, with its substep loop
 :func:`_fast_substeps`) and the noise blocks it draws (:func:`_slow_noise`,
 :func:`_fast_noise`) are written once, for the simulators, the filter and
-the sweeps' draw plans.
+the sweeps' draw plans.  The frozen run steps the fast state through the
+same :func:`_fast_substeps`, one substep of length dt a step at unit noise
+scale.
 
 Noise is drawn from counter-based streams keyed by (seed, label, particle,
 component), so enlarging the ensemble or re-running with more threads never
 perturbs the increments of existing particles.  A run holds its slow block
 whole, but takes its fast block (micro_substeps times longer) one macro step
-at a time, drawn in bounded chunks by the chunk rule of the ``streams``
-module docstring, so the fast noise it holds does not grow with the run
-length; the frozen run takes its block the same way, one step a group.
+at a time through the one block reader, ``streams._increment_groups``, which
+draws it in bounded chunks by the chunk rule of the ``streams`` module
+docstring, so the fast noise it holds does not grow with the run length; the
+frozen run takes its block through the same reader, one row a step.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -31,8 +33,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, GridMismatch, Instability, InvalidParams
 from .measure import MeasureSummary, ParticleCloud, summarize_points
-from .model import ModelSpec, _float, _require_finite
-from .streams import _increment_chunks, _increment_groups, normal_increments
+from .model import ModelSpec, _float, _require_finite, _require_integer
+from .streams import _increment_groups, normal_increments, stream
 
 STABILITY_CAP = 0.25
 
@@ -57,6 +59,7 @@ class SdeConfig:
 
     def __post_init__(self):
         _require_finite(self, ("epsilon", "T", "dt_macro"))
+        _require_integer(self, ("micro_substeps", "N", "seed"))
         if not (0.0 < self.epsilon <= 1.0):
             raise InvalidParams(f"epsilon must lie in (0, 1], got {self.epsilon}")
         if self.T <= 0.0:
@@ -100,6 +103,7 @@ class FrozenRunConfig:
 
     def __post_init__(self):
         _require_finite(self, ("dt", "burn_in", "avg_window"))
+        _require_integer(self, ("M", "seed"))
         if self.M < 2:
             raise InvalidParams(f"M must be >= 2, got {self.M}")
         if self.dt <= 0.0:
@@ -165,8 +169,6 @@ def estimate_dissipativity(model: ModelSpec) -> float:
     no contraction was detected and the micro-step stability cap is
     inapplicable.
     """
-
-    from .streams import stream
 
     rng = stream(PROBE_SEED, "dissipativity-probe")
     box = PROBE_BOX
@@ -272,16 +274,6 @@ def _slow_step(model: ModelSpec, x, mu, drift_rows, dw, dt: float) -> np.ndarray
     return x + np.asarray(drift_rows) * dt + _apply_sigma(model.sigma1(x, mu), dw, x.shape[-1])
 
 
-def _fast_step(model: ModelSpec, x, mu, z, nu, dw, h: float, noise_scale: float) -> np.ndarray:
-    """One Euler step of the fast state: z + b2*h + (sigma2·dw)*noise_scale."""
-    drift = np.asarray(model.b2(x, mu, z, nu)) * h
-    noise = _apply_sigma(model.sigma2(x, mu, z, nu), dw, z.shape[-1])
-    if noise_scale != 1.0:
-        # a * 1.0 == a exactly, so the unit-scale frozen run skips the product
-        noise = noise * noise_scale
-    return z + drift + noise
-
-
 def _check_finite(arr: np.ndarray, what: str, step: int, time: float) -> None:
     if not np.isfinite(arr).all():
         raise Instability(
@@ -304,9 +296,15 @@ def _checked_summary(points: np.ndarray, what: str, step: int, time: float) -> M
 
 def _fast_substeps(model: ModelSpec, x, mu, z, nu, dws, h: float, noise_scale: float):
     """The fast state after one macro step's micro-substeps, one per row of
-    ``dws``, with the slow input and both laws held at the step's start."""
+    ``dws``, with the slow input and both laws held at the step's start: each
+    an Euler step z + b2*h + (sigma2·dw)*noise_scale."""
     for dw in dws:
-        z = _fast_step(model, x, mu, z, nu, dw, h, noise_scale)
+        drift = np.asarray(model.b2(x, mu, z, nu)) * h
+        noise = _apply_sigma(model.sigma2(x, mu, z, nu), dw, z.shape[-1])
+        if noise_scale != 1.0:
+            # a * 1.0 == a exactly, so the unit-scale frozen run skips the product
+            noise = noise * noise_scale
+        z = z + drift + noise
     return z
 
 
@@ -383,8 +381,8 @@ def simulate_slow_fast(
     fast = np.empty((n_steps + 1,) + z.shape)
     slow[0], fast[0] = x, z
     for k, dw_fast in enumerate(dws):
-        # The step's summaries check the state it starts from, as in
-        # simulate_frozen; the last state has no next step and is checked plainly.
+        # The step's summaries check the state it starts from; the last state
+        # has no next step and is checked plainly.
         mu = _checked_summary(x, "slow state", k, times[k])
         nu = _checked_summary(z, "fast state", k, times[k])
         x, z = _macro_step(model, x, mu, z, nu, _dw_slow[k], dt, dw_fast, h, noise_scale)
@@ -422,21 +420,16 @@ def simulate_frozen(
     times = np.arange(n_steps + 1) * dt
     x_frozen = _tile_state(x, cfg.M)
     z = _tile_state(z0, cfg.M)
-    dws = itertools.chain.from_iterable(
-        _increment_chunks(cfg.seed, FROZEN_LABEL, n_steps, cfg.M, model.m, math.sqrt(dt), 1)
-    )
+    dws = _increment_groups(cfg.seed, FROZEN_LABEL, n_steps, cfg.M, model.m, math.sqrt(dt), 1)
 
+    what = "frozen fast state"
     fast = np.empty((n_steps + 1,) + z.shape)
     fast[0] = z
-    nu = summarize_points(z)
     for k, dw in enumerate(dws):
-        z = _fast_step(model, x_frozen, mu, z, nu, dw, dt, 1.0)
-        if k + 1 < n_steps:
-            # the next step's summary checks the new state
-            nu = _checked_summary(z, "frozen fast state", k + 1, times[k + 1])
-        else:
-            _check_finite(z, "frozen fast state", k + 1, times[k + 1])
+        nu = _checked_summary(z, what, k, times[k])
+        z = _fast_substeps(model, x_frozen, mu, z, nu, dw, dt, 1.0)
         fast[k + 1] = z
+    _check_finite(z, what, n_steps, times[n_steps])
     slow = np.broadcast_to(x_frozen, (n_steps + 1,) + x_frozen.shape)
     return PathEnsemble(times=times, slow=slow, fast=fast, config=cfg)
 

@@ -25,23 +25,24 @@ job's blocks ahead (``ahead``), straight into buffers it shares with this
 process, and ``normal_increments`` returns views of them; every other call
 draws here.
 
-A long block need not be held whole. The simulators and the filter take
-their fast blocks (and the frozen run its block) through
-``_increment_chunks``, in chunks of whole groups of rows, a group being one
-macro step's rows. **The chunk rule:** a block of ``steps`` rows splits into
-``max(1, min(groups, steps // 512))`` chunks, as equal as the groups allow,
-so a chunk holds fewer than about 1024 draws per stream, or a single group
-when one group is larger than that. Its size depends on the number of
-streams but not on the run length. Between chunks each stream's Philox state
-is kept and resumed, so the chunks are byte for byte the slices of the
-whole block: the stream layout does not change. A block of one chunk is a
-plain ``normal_increments`` call, and a longer one that the helper has drawn
-ahead is sliced from the helper's whole block.
+A long block need not be held whole. Every run that steps through a block
+reads it through one reader, ``_increment_groups``, a group of rows at a
+time: the simulators and the filter their fast blocks, a group being one
+macro step's substep rows, and the frozen run its block, one row a group.
+Behind the reader a block is drawn in chunks of whole groups. **The chunk
+rule:** a block of ``steps`` rows splits into ``max(1, min(groups, steps //
+512))`` chunks, as equal as the groups allow, so a chunk holds fewer than
+about 1024 draws per stream, or a single group when one group is larger than
+that. Its size depends on the number of streams but not on the run length.
+Between chunks each stream's Philox state is kept and resumed, so the chunks
+are byte for byte the slices of the whole block: the stream layout does not
+change. A block of one chunk is a plain ``normal_increments`` call, and a
+longer one that the helper has drawn ahead is read from the helper's whole
+block.
 
-The simulators and the filter read each fast row once, in order, and take
-their fast blocks a macro step at a time (``_increment_groups``). **A caller
-must not read rows it has stepped past:** where the helper drew the block,
-their whole pages are freed behind the run, and they may read as zeros.
+A run reads each row once, in order. **A caller must not read rows it has
+stepped past:** where the helper drew the block, their whole pages are freed
+behind the run, and they may read as zeros.
 """
 
 from __future__ import annotations
@@ -293,45 +294,6 @@ def _chunk_bounds(steps: int, group: int) -> list:
     return bounds
 
 
-def _whole_block(master_seed: int, label: str, steps: int, count: int, dims: int,
-                 scale: float, chunked: bool) -> Optional[np.ndarray]:
-    """The whole block of the first six arguments where it is not to be drawn
-    here a chunk at a time: the ``normal_increments`` call of a block of one
-    chunk, or the helper's block of a ``chunked`` one. None otherwise."""
-    if not chunked:
-        return normal_increments(master_seed, label, steps, count, dims, scale)
-    source = _drawn_ahead
-    if source is None:
-        return None
-    return source((master_seed, label, steps, count, dims, _checked_scale(scale)))
-
-
-def _increment_chunks(
-    master_seed: int,
-    label: str,
-    steps: int,
-    count: int,
-    dims: int,
-    scale: float,
-    group: int,
-):
-    """An iterator over the block ``normal_increments`` returns for the first
-    six arguments, as consecutive chunks of whole groups of ``group`` rows.
-
-    A block of one chunk is that ``normal_increments`` call, made here and
-    not at the first ``next``, so that a run allocates its noise before its
-    path arrays, which keeps its peak memory where it was. A longer one is sliced from the block drawn ahead when the helper has it,
-    and otherwise drawn a chunk at a time into one buffer: each chunk is a
-    view that the next one overwrites, so a caller uses its rows before
-    asking for more.
-    """
-    bounds = _chunk_bounds(steps, group)
-    block = _whole_block(master_seed, label, steps, count, dims, scale, len(bounds) > 2)
-    if block is None:
-        return _draw_chunks(master_seed, label, count, dims, _checked_scale(scale), bounds)
-    return (block[start:end] for start, end in zip(bounds, bounds[1:]))
-
-
 def _increment_groups(
     master_seed: int,
     label: str,
@@ -341,20 +303,34 @@ def _increment_groups(
     scale: float,
     group: int,
 ):
-    """The block of :func:`_increment_chunks`, one group at a time: an
-    iterator of (group, count, dims) views, each valid until the next is
-    taken (``steps`` is a whole number of groups).
+    """An iterator over the block ``normal_increments`` returns for the first
+    six arguments, one group of ``group`` rows at a time: (group, count, dims)
+    views, each valid until the next is taken (``steps`` is a whole number of
+    groups).
+
+    A block of one chunk (the chunk rule of the module docstring) is that
+    ``normal_increments`` call, made here and not at the first ``next``, so
+    that a run allocates its noise before its path arrays, which keeps its
+    peak memory where it was. A longer one is read from the block drawn ahead
+    when the helper has it, and otherwise drawn a chunk at a time into one
+    buffer that each chunk overwrites.
 
     The block is read once, front to back. Where the helper drew it, the rows
     stepped past are handed back (``release``) each time another
     ``_RELEASE_BYTES`` of them have built up, and their whole pages are freed.
     """
+    scale = _checked_scale(scale)
+    args = (master_seed, label, steps, count, dims, scale)
     bounds = _chunk_bounds(steps, group)
-    block = _whole_block(master_seed, label, steps, count, dims, scale, len(bounds) > 2)
+    source = _drawn_ahead
+    if len(bounds) == 2:
+        block = normal_increments(*args)
+    else:
+        block = None if source is None else source(args)
     if block is None:
-        chunks = _draw_chunks(master_seed, label, count, dims, _checked_scale(scale), bounds)
+        chunks = _draw_chunks(master_seed, label, count, dims, scale, bounds)
         return itertools.chain.from_iterable(c.reshape(-1, group, count, dims) for c in chunks)
-    return _read_once(block, group, getattr(_drawn_ahead, "release", None))
+    return _read_once(block, group, getattr(source, "release", None))
 
 
 def _read_once(block: np.ndarray, group: int, release):

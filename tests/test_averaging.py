@@ -246,6 +246,18 @@ def test_decay_profile_needs_replications():
         ergodic_decay_profile(model, np.array([1.0]), dirac_summary([0.0]), cfg)
 
 
+@pytest.mark.parametrize(
+    "t_grid", [[-0.5, 0.0, 0.5, 1.0, 2.0], [0.0, math.nan, 1.0], [0.0, 1.0, math.inf], []]
+)
+def test_decay_profile_refuses_a_negative_or_non_finite_time(t_grid):
+    # a negative time would index the path from its end
+    cfg = FrozenRunConfig(M=100, dt=0.01, burn_in=0.0, avg_window=1.0, seed=0)
+    with pytest.raises(InvalidParams, match="t_grid must be nonempty, finite and >= 0"):
+        ergodic_decay_profile(
+            ref_model(), np.array([1.0]), dirac_summary([0.0]), cfg, t_grid=np.array(t_grid)
+        )
+
+
 def test_decay_profile_fit_failure_at_stationarity():
     model = ref_model()
     cfg = FrozenRunConfig(M=500, dt=0.01, burn_in=0.0, avg_window=1.0, seed=5)
@@ -332,6 +344,16 @@ def test_oracle_analytic_rejects_nonlinear():
     )
     with pytest.raises(UnsupportedModel):
         make_drift_oracle(model, mode="analytic-linear")
+
+
+@pytest.mark.parametrize("quant", [0.0, -0.05, math.nan, math.inf])
+def test_oracle_refuses_a_quant_that_is_not_finite_and_positive(quant):
+    for build in (
+        lambda: AveragedDriftOracle(ref_model(), frozen_cfg(), quant=quant),
+        lambda: make_drift_oracle(ref_model(), "estimated", frozen_cfg=frozen_cfg(), quant=quant),
+    ):
+        with pytest.raises(InvalidParams, match="quant must be finite and positive"):
+            build()
 
 
 def test_oracle_estimated_mode_needs_frozen_cfg():

@@ -7,6 +7,7 @@ grid, and byte-identical reruns.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from mvx_avgfilter.config import (
 )
 from mvx_avgfilter.errors import ParseError, ValidationError
 from mvx_avgfilter.serialize import format_float
+from mvx_avgfilter.streams import _chunk_bounds
 
 BASE = {
     "command": "simulate",
@@ -734,3 +736,138 @@ def test_readme_lists_the_files_seeds_and_stages_of_every_command():
     }
     assert set(CONTRACT) == set(COMMANDS)
     assert readme_runner_rows() == expected
+
+
+# ===== data files pinned by sha256 =====
+
+# The runs of CI's console-script step, one per command and filter kind, plus a
+# frozen run and a simulate run whose noise blocks split into two chunks (the
+# chunk rule of the streams module docstring). Every data file, manifest.json
+# aside (it carries wall-clock times), is pinned at seeds 5 and 113, so a change
+# that should keep the outputs byte-identical is checked here.
+PIN_SDE = {"epsilon": 0.1, "T": 0.1, "dt_macro": 0.01, "N": 10, "seed": 11}
+PIN_FROZEN = {"M": 20, "dt": 0.05, "burn_in": 0.1, "avg_window": 0.5, "seed": 3}
+PIN_FILTER = {"Nf": 20}
+PIN_SWEEP = {"eps_grid": [0.1, 0.05], "mc_reps": 4, "p_orders": [1]}
+PIN_RUNS = {
+    "simulate": {"sde": PIN_SDE},
+    "frozen": {"frozen": PIN_FROZEN},
+    "bbar": {"frozen": PIN_FROZEN},
+    "filter": {"sde": PIN_SDE, "filter": PIN_FILTER},
+    "filter-averaged": {"command": "filter", "sde": PIN_SDE,
+                        "filter": dict(PIN_FILTER, kind="averaged")},
+    "probe": {"probe": {"sample_count": 50}},
+    "sweep-averaging": {"sde": PIN_SDE, "sweep": PIN_SWEEP},
+    "sweep-filter": {"sde": PIN_SDE, "sweep": PIN_SWEEP, "filter": PIN_FILTER},
+    "frozen-long": {"command": "frozen",
+                    "frozen": dict(PIN_FROZEN, dt=0.01, burn_in=4.0, avg_window=6.3)},
+    "simulate-long": {"command": "simulate", "sde": dict(PIN_SDE, T=1.3, micro_substeps=8)},
+}
+PINS = {
+    ("simulate", 5): {
+        "simulate.csv": "9b158137aa100e41ce9f692609e6fe16128e7ffde5f198d2f8ebe7db7be105cd",
+        "simulate.json": "4d82801dd02afc0fc06a2043a0fece12690da862004865cef282c4f9bb660591",
+    },
+    ("simulate", 113): {
+        "simulate.csv": "9d438b03b12bec678e5f7850d64e339a8c63f44d312d9f0bd3f7b90a1f75700b",
+        "simulate.json": "522ce118e91a4c13270170126114473a32c8a37101a4ed16a2abd8a1e8dee266",
+    },
+    ("frozen", 5): {
+        "frozen.csv": "b0039459ffa7f0412cfab55262eafcfaa5bee2c2a55ab528fb721fb737175d58",
+        "frozen.json": "f6b4908e2ee108b4cd5027d67bb2f54763218ead8a66980614cbb2f2af2acc62",
+    },
+    ("frozen", 113): {
+        "frozen.csv": "9f6586330913cc2692983dc9a796f3b96fe1e233ee1a1c897ee6beb6e64a77a4",
+        "frozen.json": "45d55274bdfe6c60a9e4499795461c25c6393f19740ddcea7b112f27e0838331",
+    },
+    ("bbar", 5): {
+        "bbar.csv": "0682e9896b55214e93fc24474a6283dff004ea15ede387642859ef967ce3a607",
+        "bbar.json": "7822768ad0f7d7a15682377fbf8808d3fa2edc588750bd8ee1b3924c23cf432a",
+    },
+    ("bbar", 113): {
+        "bbar.csv": "658c024308fa7ffd9fd9032026ba0f041b0076c11db2afdfcebd0c821db94f73",
+        "bbar.json": "e3922cb8977a4ab6f233dc750b038fea753cb4371ec9d0cfd0095c4b90cb793b",
+    },
+    ("filter", 5): {
+        "filter.csv": "c5a918b798a9270ace15ff2ba4a484c4de471c0e2605b03c257a3861a0f8a821",
+        "filter.json": "1ced3ca8d6a20a745a5ca17bdae32cd20746b46dc5d159d29bee169006419a37",
+    },
+    ("filter", 113): {
+        "filter.csv": "739818b5be95fcea2527170cece431a3c59ac31ae613d8ecd23a53fb43eb87dc",
+        "filter.json": "445d0d67ab02f57b855c4cb95f424a99ba7ca609dd13b94d062c4488f8b7a792",
+    },
+    ("filter-averaged", 5): {
+        "filter.csv": "bd863ab767c2abf4570e623107251224dc16895691082f0389482327ead580a1",
+        "filter.json": "b60533469635bbe28009c8e63edd94b998a2f1f6993d1dea8316accc7028d08d",
+    },
+    ("filter-averaged", 113): {
+        "filter.csv": "2c30801bf69223b3e4fc323c31498dec5baa4e4d915d1a597eed02e344dd24db",
+        "filter.json": "41ef302e18c70cdb991bc5a67332554c8dfcf304d006a99d3d3617604ddf4781",
+    },
+    ("probe", 5): {
+        "probe.csv": "cb1093af49cacf38693d52af3c6db74044abca55e99b111b0579076c9f23f992",
+        "probe.json": "572406df93992e789aa373293c10a92a2a8a33518eacf9844ec930946d60cfb4",
+    },
+    ("probe", 113): {
+        "probe.csv": "6f456ddf88ab560e7ec003b9d970e260ee5e718f511be69682097f01624a3b46",
+        "probe.json": "8dc59b4b893a6874ca1bfac601a8f063950e4af32cc1c16e0210819df0b1ce11",
+    },
+    ("sweep-averaging", 5): {
+        "sweep-averaging.csv": "4717a4375bcfdbe5fa8e3050e9254807fa1bdefb6145e9dcf7eb23fee9a9e8aa",
+        "sweep-averaging.json": "75b3b8a060e11b88d9a802588df3763d7c9cc16c1064b2a9ae5cd32f4e877e62",
+    },
+    ("sweep-averaging", 113): {
+        "sweep-averaging.csv": "f4f031df39c9f1d7c465b6eff56ed9edc568b1af2602705d36a1b47f56ab300b",
+        "sweep-averaging.json": "331ed2db1c46f7bc9a21b1c5c5192b3baf434d744f9127b8a8851e1c1f6f84f7",
+    },
+    ("sweep-filter", 5): {
+        "sweep-filter.csv": "6398bac9ca1a079e582175191ce47378f1cdc960f8e9fe236d3a169525a2133f",
+        "sweep-filter.json": "498292ceec6cabb6ca8d3fc771f957921be31a428dc1cc118d717b147bb109a7",
+    },
+    ("sweep-filter", 113): {
+        "sweep-filter.csv": "c98e060de85da2db5f5151bb2d84fb1cc47ff1ea3f51b2caa9d497067599c7f8",
+        "sweep-filter.json": "3bb8f0d365e2f572e5e6949f2734b16f19f91f2b27a0f86f76231830c41e65c1",
+    },
+    ("frozen-long", 5): {
+        "frozen.csv": "774d70fd4446a315c325720ddc777c41ed30bbb45927cc94be42b96bbf96d40c",
+        "frozen.json": "54ceccafda886b87d78814b77397546770f89a790f810c07ac8ff7109785337a",
+    },
+    ("frozen-long", 113): {
+        "frozen.csv": "8f62507fd3f6189765910c20dc15bf6020f7c6a07f9e26811d4eee8917cba667",
+        "frozen.json": "ebf9d891b1b315bf6e6e93d49797d9b963872dca92bde366d419eb6d651190ad",
+    },
+    ("simulate-long", 5): {
+        "simulate.csv": "a71a23cab131767a8d3f13d6b9d932ad6ee07059326880d34b708ff0b65f5602",
+        "simulate.json": "03d4e125aa36353b60458964bf3aa65d9f6b41e0dc03983be9183bbae4d1e735",
+    },
+    ("simulate-long", 113): {
+        "simulate.csv": "8e11a81d2c84722ed462a56a1d8aa4a4b3fc59c8cd077befa859e897e91c1f36",
+        "simulate.json": "2a2441588718987a3f4448e3abdc0e611539dd1df97a14cd2de8eed9cb21c56c",
+    },
+}
+
+
+def pinned_config(name, tmp_path):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(dict({"command": name}, **PIN_RUNS[name])), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name,seed", sorted(PINS))
+def test_data_files_match_their_sha256_pins(tmp_path, name, seed):
+    out = tmp_path / "out"
+    argv = ["--config", str(pinned_config(name, tmp_path)), "--out", str(out),
+            "--seed", str(seed), "--format", "both"]
+    assert main(argv) == 0
+    files = sorted(set(os.listdir(out)) - {"manifest.json"})
+    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files}
+    assert got == PINS[name, seed]
+
+
+def test_the_long_pinned_runs_draw_their_fast_blocks_in_two_chunks(tmp_path):
+    frozen = parse_config(pinned_config("frozen-long", tmp_path).read_text()).frozen.run
+    assert frozen.n_steps > 1024
+    assert len(_chunk_bounds(frozen.n_steps, 1)) == 3
+    sde = parse_config(pinned_config("simulate-long", tmp_path).read_text()).sde
+    ksub = sde.micro_substeps
+    assert len(_chunk_bounds(sde.n_steps * ksub, ksub)) == 3

@@ -15,14 +15,18 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from mvx_avgfilter import config
 from mvx_avgfilter.config import COMMANDS, config_digest, parse_config, serialize_config
-from mvx_avgfilter.errors import ParseError, ValidationError
+from mvx_avgfilter.errors import InvalidParams, ParseError, ValidationError
+from mvx_avgfilter.experiments import SweepConfig
+from mvx_avgfilter.filtering import FilterConfig
 from mvx_avgfilter.model import LinearModelParams
+from mvx_avgfilter.sde import FrozenRunConfig, SdeConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -320,3 +324,39 @@ def test_serialized_bytes_and_digest_are_pinned(name):
     cfg = parse_config(json.dumps(pinned_document(name)))
     text = serialize_config(cfg)
     assert (hashlib.sha256(text.encode("utf-8")).hexdigest(), config_digest(cfg)) == PINS[name]
+
+
+# ===== count and seed fields of the run configs =====
+
+RUN_SDE = dict(epsilon=0.1, T=0.2, dt_macro=0.01, micro_substeps=2, N=10, seed=3)
+# each public run config: valid keyword arguments, and its integer fields
+RUN_CONFIGS = [
+    (SdeConfig, RUN_SDE, ("micro_substeps", "N", "seed")),
+    (FrozenRunConfig, dict(M=20, dt=0.05, burn_in=0.1, avg_window=0.5, seed=3), ("M", "seed")),
+    (FilterConfig, dict(Nf=20, resample_threshold=0.5, functional="tanh", p=1), ("Nf", "p")),
+    (
+        SweepConfig,
+        dict(eps_grid=(0.1, 0.05), mc_reps=4, base_sde=SdeConfig(**RUN_SDE), p_orders=(1, 2)),
+        ("mc_reps", "p_orders", "threads"),
+    ),
+]
+INTEGER_FIELDS = [(cls, kwargs, name) for cls, kwargs, names in RUN_CONFIGS for name in names]
+
+
+@pytest.mark.parametrize(
+    "cls,kwargs,name", INTEGER_FIELDS, ids=[f"{c.__name__}.{n}" for c, _, n in INTEGER_FIELDS]
+)
+def test_run_configs_refuse_a_count_or_seed_that_is_not_an_integer(cls, kwargs, name):
+    default = kwargs.get(name, getattr(cls, name, None))
+    listed = isinstance(default, tuple)  # p_orders: every entry is checked
+    value = default[0] if listed else default
+
+    def built(v):
+        return cls(**dict(kwargs, **{name: (v,) if listed else v}))
+
+    # a bool, a fraction and a whole float were once truncated, accepted or
+    # failed inside numpy; parse_config refuses all three in a file
+    for bad in (True, value + 0.5, float(value)):
+        with pytest.raises(InvalidParams, match=f"{name} must be an integer"):
+            built(bad)
+    assert getattr(built(np.int64(value)), name) == ((value,) if listed else value)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from mvx_avgfilter import filtering, sde, streams
+from mvx_avgfilter import experiments, filtering, sde, streams
 from mvx_avgfilter.averaging import make_drift_oracle
 from mvx_avgfilter.errors import InvalidParams
 from mvx_avgfilter.experiments import SweepConfig, filter_error_sweep
@@ -66,8 +66,15 @@ def test_normal_increments_empty_block():
 
 
 def chunked(seed, label, steps, count, dims, scale, group):
-    """Every chunk the drawer yields, copied before the next one is drawn."""
-    return [c.copy() for c in streams._increment_chunks(seed, label, steps, count, dims, scale, group)]
+    """Every chunk the drawer yields for the chunk rule's bounds, copied before
+    the next one is drawn."""
+    bounds = streams._chunk_bounds(steps, group)
+    return [c.copy() for c in streams._draw_chunks(seed, label, count, dims, scale, bounds)]
+
+
+def grouped(*args):
+    """Every group ``_increment_groups`` yields, copied before the next is taken."""
+    return [g.copy() for g in streams._increment_groups(*args)]
 
 
 def expected_chunks(steps, group):
@@ -101,7 +108,7 @@ def test_chunks_cross_the_row_block_edge():
 
 
 def test_chunks_reuse_one_buffer():
-    views = list(streams._increment_chunks(4, "frozen", 2000, 6, 1, 1.0, 1))
+    views = list(streams._draw_chunks(4, "frozen", 6, 1, 1.0, streams._chunk_bounds(2000, 1)))
     assert len(views) == 3
     assert all(np.shares_memory(views[0], v) for v in views[1:])
 
@@ -109,18 +116,27 @@ def test_chunks_reuse_one_buffer():
 def test_a_one_chunk_block_is_a_normal_increments_call(monkeypatch):
     calls = []
     counting(monkeypatch, streams, calls)
-    for steps, group in ((1023, 8), (600, 600), (0, 1)):
-        (chunk,) = streams._increment_chunks(3, "signal-fast", steps, 4, 1, 0.5, group)
-        assert chunk.tobytes() == normal_increments(3, "signal-fast", steps, 4, 1, 0.5).tobytes()
-    assert calls == ["signal-fast"] * 3
-    calls.clear()
-    assert len(chunked(3, "signal-fast", 1024, 4, 1, 0.5, 8)) == 2
+    for steps, group in ((1016, 8), (600, 600), (0, 1)):
+        groups = streams._increment_groups(3, "signal-fast", steps, 4, 1, 0.5, group)
+        assert calls == ["signal-fast"]  # drawn at the call, before the first group
+        calls.clear()
+        views = list(groups)
+        assert len(views) == steps // group
+        assert all(v.shape == (group, 4, 1) for v in views)
+        whole = normal_increments(3, "signal-fast", steps, 4, 1, 0.5)
+        assert b"".join(v.tobytes() for v in views) == whole.tobytes()
+    # a block of two chunks is drawn here, a chunk at a time
+    got = grouped(3, "signal-fast", 1024, 4, 1, 0.5, 8)
     assert calls == []
+    whole = normal_increments(3, "signal-fast", 1024, 4, 1, 0.5)
+    assert np.concatenate(got).tobytes() == whole.tobytes()
 
 
 def test_chunks_refuse_a_negative_scale():
-    with pytest.raises(InvalidParams, match="scale"):
-        chunked(3, "frozen", 2048, 2, 1, -0.0, 1)
+    # refused at the call, for a block of one chunk and of several
+    for steps in (16, 2048):
+        with pytest.raises(InvalidParams, match="scale"):
+            streams._increment_groups(3, "frozen", steps, 2, 1, -0.0, 1)
 
 
 def test_a_block_drawn_ahead_is_sliced_into_the_same_chunks(monkeypatch):
@@ -134,13 +150,15 @@ def test_a_block_drawn_ahead_is_sliced_into_the_same_chunks(monkeypatch):
         return whole if key == args else None
 
     monkeypatch.setattr(streams, "_drawn_ahead", source)
-    views = list(streams._increment_chunks(*args, 8))
+    views = list(streams._increment_groups(*args, 8))
     assert asked == [args]
-    assert [len(v) for v in views] == [len(c) for c in inline] == [536, 536, 528]
+    assert [len(c) for c in inline] == [536, 536, 528]
+    # read in place: every group is a view of the helper's block, in order
+    assert len(views) == 200
     assert all(np.shares_memory(v, whole) for v in views)
-    assert all(v.tobytes() == c.tobytes() for v, c in zip(views, inline))
+    assert b"".join(v.tobytes() for v in views) == np.concatenate(inline).tobytes()
     # a block the source does not have is drawn here, a chunk at a time
-    other = chunked(9, "filter-fast", 1600, 7, 2, 0.2, 8)
+    other = grouped(9, "filter-fast", 1600, 7, 2, 0.2, 8)
     assert asked[-1] == (9, "filter-fast", 1600, 7, 2, 0.2)
     want = streams._draw_block(9, "filter-fast", 1600, 7, 2, 0.2)
     assert np.concatenate(other).tobytes() == want.tobytes()
@@ -249,6 +267,7 @@ def test_filter_sweep_draws_the_filter_slow_block_once_per_job(monkeypatch):
     drift = make_drift_oracle(model, mode="analytic-linear")
     calls = []
     counting(monkeypatch, filtering, calls)
+    counting(monkeypatch, experiments, calls)
     report = filter_error_sweep(model, drift, sweep)
     assert calls.count(FILTER_SLOW_LABEL) == sweep.mc_reps
     assert all(math.isfinite(r.mean_error) for r in report.rows)
