@@ -1,11 +1,11 @@
 """Averaged drift: ergodic estimation, closed forms, cached oracles.
 
 The averaged drift at (x, mu) is the integral of b1(x, mu, .) against the
-invariant law of the frozen fast equation.  Estimation runs the frozen
-ensemble past burn-in and time-averages; standard errors account for the
-serial correlation of the ensemble averages through the integrated
-autocorrelation time (Sokal windowing), since batch means at these window
-lengths under-cover badly.
+invariant law of the frozen fast equation.  It, the invariant moments and
+the decay target are each one window average of a frozen run past burn-in;
+standard errors account for the serial correlation of the ensemble averages
+through the integrated autocorrelation time (Sokal windowing), since batch
+means at these window lengths under-cover badly.
 
 A drift is any callable (points, mu-summary) -> drift rows, taking (N, n)
 points or a single (n,) point.  make_drift_oracle builds the two the
@@ -52,7 +52,6 @@ __all__ = [
     "integrated_autocorr_time",
     "invariant_moments",
     "make_drift_oracle",
-    "smoothed_deviations",
 ]
 
 
@@ -117,7 +116,7 @@ def _mean_se_tau(series: np.ndarray):
 
 @dataclass(frozen=True)
 class BbarEstimate:
-    """Time-averaged drift estimate with per-component standard errors."""
+    """Window average with per-component standard errors (the averaged drift's)."""
 
     value: np.ndarray
     stderr: np.ndarray
@@ -166,60 +165,57 @@ def analytic_bbar_linear(params: LinearModelParams, x, mu_mean) -> np.ndarray:
     return p.a11 * x + p.a12 * mu_mean + p.a13 * m
 
 
-# Window steps per b1 call in estimate_bbar: a call per step costs Python
+# Window steps per call of the window function: a call per step costs Python
 # overhead on every step, one call for the whole window holds temporaries as
 # large as the stored window.
-_B1_BLOCK = 64
+_WINDOW_BLOCK = 64
 
 
-def _window_start(cfg: FrozenRunConfig) -> int:
-    return int(round(cfg.burn_in / cfg.dt))
-
-
-def estimate_bbar(
-    model: ModelSpec, x: np.ndarray, mu: MeasureSummary, cfg: FrozenRunConfig
+def _window_average(
+    model: ModelSpec, x, mu: MeasureSummary, cfg: FrozenRunConfig, f
 ) -> BbarEstimate:
-    """Ergodic-average estimate of the averaged drift at (x, mu)."""
+    """Window average of f(x_rows, z_rows) over one frozen run at (x, mu): the
+    particle mean at each step from round(burn_in/dt) on, then each column's
+    mean, SE and tau_int over those n_samples steps.  The window rule:
+    avg_window holds at least 10 steps of dt."""
 
     if cfg.avg_window < 10.0 * cfg.dt:
         raise InsufficientWindow(
             f"avg_window={cfg.avg_window} shorter than 10*dt={10.0 * cfg.dt}"
         )
     path = simulate_frozen(model, x, mu, cfg)
-    start = _window_start(cfg)
-    cuts = range(_B1_BLOCK, len(path.times) - start, _B1_BLOCK)
+    start = int(round(cfg.burn_in / cfg.dt))
+    cuts = range(_WINDOW_BLOCK, len(path.times) - start, _WINDOW_BLOCK)
     series = np.concatenate(
         [
-            np.mean(np.asarray(model.b1(xb, mu, zb)), axis=1)
+            np.mean(np.asarray(f(xb, zb)), axis=1)
             for xb, zb in zip(np.split(path.slow[start:], cuts), np.split(path.fast[start:], cuts))
         ]
     )
-    n_w, n_dim = series.shape
-    value = np.empty(n_dim)
-    stderr = np.empty(n_dim)
-    taus = np.empty(n_dim)
-    for j in range(n_dim):
-        value[j], stderr[j], taus[j] = _mean_se_tau(series[:, j])
-    return BbarEstimate(value=value, stderr=stderr, tau_int=taus, n_samples=n_w)
+    value, stderr, taus = map(np.array, zip(*(_mean_se_tau(col) for col in series.T)))
+    return BbarEstimate(value=value, stderr=stderr, tau_int=taus, n_samples=len(series))
+
+
+def estimate_bbar(
+    model: ModelSpec, x: np.ndarray, mu: MeasureSummary, cfg: FrozenRunConfig
+) -> BbarEstimate:
+    """Ergodic-average estimate of the averaged drift at (x, mu): the window
+    average of b1."""
+
+    return _window_average(model, x, mu, cfg, lambda xb, zb: model.b1(xb, mu, zb))
 
 
 def invariant_moments(
     model: ModelSpec, x: np.ndarray, mu: MeasureSummary, cfg: FrozenRunConfig
 ) -> InvariantMoments:
-    """Mean and second moment of the frozen invariant law, time-averaged."""
+    """Mean and second moment of the frozen invariant law: the window average
+    of (z, |z|^2), in one frozen run."""
 
-    path = simulate_frozen(model, x, mu, cfg)
-    window = path.fast[_window_start(cfg):]
-    means = np.stack([z.mean(axis=0) for z in window])
-    seconds = np.array([float(np.einsum("ij,ij->", z, z)) / len(z) for z in window])
-    mean = np.empty(means.shape[1])
-    se_mean = np.empty(means.shape[1])
-    for j in range(means.shape[1]):
-        mean[j], se_mean[j], _ = _mean_se_tau(means[:, j])
-    second, se_second, _ = _mean_se_tau(seconds)
-    return InvariantMoments(
-        mean=mean, second_moment=second, stderr_mean=se_mean, stderr_second=se_second
+    est = _window_average(
+        model, x, mu, cfg, lambda xb, zb: np.concatenate([zb, (zb * zb).sum(-1, keepdims=True)], -1)
     )
+    return InvariantMoments(mean=est.value[:-1], second_moment=float(est.value[-1]),
+                            stderr_mean=est.stderr[:-1], stderr_second=float(est.stderr[-1]))
 
 
 def ergodic_decay_profile(
@@ -257,17 +253,14 @@ def ergodic_decay_profile(
             xv = np.asarray(x, dtype=float).reshape(-1)
             target = (p.c1 * xv + p.c2 * mu.mean) / (p.gamma - p.c3)
         else:
-            # independent stationary run; tail mean stands in for the target
+            # independent stationary run; its window mean stands in for the target
             tail_cfg = dataclasses.replace(
                 cfg,
                 burn_in=2.0 * total,
                 avg_window=total,
                 seed=derive_seed(cfg.seed, "decay-target"),
             )
-            tail = simulate_frozen(model, x, mu, tail_cfg)
-            target = np.stack(
-                [z.mean(axis=0) for z in tail.fast[_window_start(tail_cfg):]]
-            ).mean(axis=0)
+            target = _window_average(model, x, mu, tail_cfg, lambda xb, zb: zb).value
     target = np.asarray(target, dtype=float).reshape(-1)
 
     idx = np.round(t_grid / run_cfg.dt).astype(int)
@@ -301,18 +294,6 @@ def ergodic_decay_profile(
         used_mask=used,
         target=target,
     )
-
-
-def smoothed_deviations(profile: ErgodicDecayProfile, width: int = 3) -> np.ndarray:
-    """Centered moving average of the deviation profile, one value per grid
-    point; ``width`` must be odd and positive, so the window has a centre."""
-
-    if width < 1 or width % 2 == 0:
-        raise InvalidParams(f"smoothing width must be odd and >= 1, got {width!r}")
-    d = profile.deviations
-    kernel = np.ones(width) / width
-    padded = np.concatenate([d[:1].repeat(width // 2), d, d[-1:].repeat(width // 2)])
-    return np.convolve(padded, kernel, mode="valid")
 
 
 # ===== drift oracles =====

@@ -48,7 +48,7 @@ from .filtering import (
     generate_observations,
     run_filter,
 )
-from .model import ModelSpec, _require_integer
+from .model import ModelSpec, _require_finite, _require_integer
 from .sde import (
     FAST_LABEL,
     SLOW_LABEL,
@@ -116,6 +116,7 @@ class SweepConfig:
     threads: int = 1
 
     def __post_init__(self):
+        _require_finite(self, ("eps_grid",))
         object.__setattr__(self, "eps_grid", tuple(float(e) for e in self.eps_grid))
         _require_integer(self, ("mc_reps", "p_orders", "threads"))
         object.__setattr__(self, "p_orders", tuple(int(p) for p in self.p_orders))

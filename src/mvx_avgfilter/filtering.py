@@ -32,7 +32,9 @@ from .errors import (
     WeightCollapse,
 )
 from .measure import MeasureSummary, summarize_points, systematic_resample_indices
-from .model import LinearModelParams, ModelSpec, _require_integer, make_linear_model
+from .model import (
+    LinearModelParams, ModelSpec, _require_finite, _require_integer, make_linear_model,
+)
 from .sde import (
     PathEnsemble,
     SdeConfig,
@@ -94,6 +96,7 @@ class FilterConfig:
 
     def __post_init__(self):
         _require_integer(self, ("Nf", "p"))
+        _require_finite(self, ("resample_threshold",))
         if self.Nf < 10:
             raise InvalidParams(f"Nf must be >= 10, got {self.Nf}")
         if not (0.0 < self.resample_threshold <= 1.0):

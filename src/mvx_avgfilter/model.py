@@ -46,11 +46,14 @@ def _float(value) -> float:
 
 
 def _require_finite(cfg, names) -> None:
-    """Refuse NaN or infinity in the named number or vector fields (None is allowed)."""
+    """Refuse a bool, NaN or infinity in the named number or vector fields (None is allowed)."""
     for name in names:
         value = getattr(cfg, name)
-        if value is not None and not all(math.isfinite(_float(v)) for v in np.ravel(value)):
-            raise InvalidParams(f"{name} must be finite, got {value}")
+        for v in () if value is None else np.ravel(np.asarray(value, dtype=object)):
+            if isinstance(v, (bool, np.bool_)):
+                raise InvalidParams(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(_float(v)):
+                raise InvalidParams(f"{name} must be finite, got {value}")
 
 
 def _require_integer(cfg, names) -> None:

@@ -25,7 +25,6 @@ from mvx_avgfilter.averaging import (
     estimate_bbar,
     invariant_moments,
     make_drift_oracle,
-    smoothed_deviations,
 )
 from mvx_avgfilter.errors import (
     DimensionMismatch,
@@ -186,6 +185,35 @@ def test_second_moment_envelope():
         assert ratio(x) <= 1.2 * fitted
 
 
+@pytest.mark.parametrize("dt", [0.25, 0.1])
+def test_invariant_second_moment_is_the_euler_chains(dt):
+    # with x = 0 and c1 = c2 = c3 = 0 the frozen run is the Euler chain
+    # z' = (1 - gamma*dt)*z + s2*sqrt(dt)*xi, whose stationary second moment is
+    # s2^2/(gamma*(2 - gamma*dt)), not the continuous law's s2^2/(2*gamma) = 0.25
+    p = LinearModelParams(gamma=2.0, c1=0.0, c2=0.0, c3=0.0, s2=1.0)
+    model = ref_model(p, z0=0.0)
+    cfg = FrozenRunConfig(M=2000, dt=dt, burn_in=5.0, avg_window=400 * dt, seed=21)
+    mom = invariant_moments(model, np.zeros(1), dirac_summary([0.0]), cfg)
+    exact = p.s2**2 / (p.gamma * (2.0 - p.gamma * dt))
+    assert abs(mom.second_moment - exact) <= 3.0 * mom.stderr_second
+    assert abs(mom.second_moment - 0.25) > 10.0 * mom.stderr_second
+
+
+def test_every_window_statistic_refuses_a_window_under_ten_steps():
+    model = ref_model()
+    x, mu = np.array([1.0]), dirac_summary([0.0])
+    cfg = FrozenRunConfig(M=100, dt=0.01, burn_in=0.0, avg_window=0.05, seed=0)
+    # without linear_params the decay target comes from a tail run as long as t_grid
+    nonlinear = dataclasses.replace(model, linear_params=None)
+    short_grid = np.array([0.0, 0.02, 0.05])
+    for run in (
+        lambda: invariant_moments(model, x, mu, cfg),
+        lambda: ergodic_decay_profile(nonlinear, x, mu, cfg, t_grid=short_grid),
+    ):
+        with pytest.raises(InsufficientWindow, match=r"avg_window=0\.05 shorter than 10\*dt=0\.1"):
+            run()
+
+
 # ===== ergodic decay =====
 
 
@@ -209,34 +237,26 @@ def test_decay_profile_monotone_after_smoothing():
     prof = ergodic_decay_profile(
         model, np.array([1.0]), dirac_summary([0.0]), cfg, t_grid=t_grid, z_init=np.array([3.0])
     )
-    sm = smoothed_deviations(prof)
+    # centred 3-point mean, each end padded with its own value
+    d = prof.deviations
+    padded = np.concatenate([d[:1], d, d[-1:]])
+    sm = (padded[:-2] + padded[1:-1] + padded[2:]) / 3.0
     used = np.flatnonzero(prof.used_mask)
     for a, b in zip(used[:-1], used[1:]):
         assert sm[b] <= sm[a] + 0.25 * prof.noise_floor
 
 
-def ten_point_profile():
-    t_grid = np.linspace(0.0, 0.9, 10)
-    return ErgodicDecayProfile(
-        t_grid=t_grid, deviations=np.exp(-t_grid), fitted_rate=1.0, fit_r2=1.0,
-        noise_floor=0.0, used_mask=np.ones(10, dtype=bool), target=np.zeros(1),
+def test_decay_target_without_linear_params_is_the_stationary_mean():
+    # the target then comes from an independent stationary run's window mean
+    model = dataclasses.replace(ref_model(), linear_params=None)
+    cfg = FrozenRunConfig(M=2000, dt=0.01, burn_in=0.0, avg_window=1.0, seed=14)
+    prof = ergodic_decay_profile(
+        model, np.array([1.0]), dirac_summary([0.0]), cfg,
+        t_grid=np.linspace(0.0, 2.0, 21), z_init=np.array([3.0]),
     )
-
-
-@pytest.mark.parametrize("width", [1, 3, 5, 9, 11])
-def test_smoothed_deviations_give_one_value_per_grid_point(width):
-    prof = ten_point_profile()
-    sm = smoothed_deviations(prof, width)
-    assert sm.shape == prof.deviations.shape
-    # the window centred on point width // 2 holds the first width points, unpadded
-    if width <= prof.deviations.size:
-        assert sm[width // 2] == pytest.approx(prof.deviations[:width].mean(), rel=1e-12)
-
-
-@pytest.mark.parametrize("width", [2, 4, 0, -1])
-def test_smoothed_deviations_refuse_a_width_without_a_centre(width):
-    with pytest.raises(InvalidParams, match="width"):
-        smoothed_deviations(ten_point_profile(), width)
+    want = (REF.c1 * 1.0 + REF.c2 * 0.0) / (REF.gamma - REF.c3)
+    assert prof.target.shape == (1,)
+    assert abs(prof.target[0] - want) <= 0.03
 
 
 def test_decay_profile_needs_replications():

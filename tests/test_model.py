@@ -19,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvx_avgfilter.errors import InvalidParams
+from mvx_avgfilter.experiments import SweepConfig
+from mvx_avgfilter.filtering import FilterConfig
 from mvx_avgfilter.measure import MeasureSummary
 from mvx_avgfilter.model import LinearModelParams, ModelSpec, make_linear_model, probe_assumptions
 from mvx_avgfilter.sde import FrozenRunConfig, SdeConfig, simulate_auxiliary, simulate_slow_fast
@@ -105,6 +107,34 @@ def _auxiliary_run(delta_eps):
 )
 def test_an_integer_beyond_the_float_range_is_refused_as_not_finite(build, kwargs, field):
     with pytest.raises(InvalidParams, match=f"{field} must be finite"):
+        build(**kwargs)
+
+
+@pytest.mark.parametrize("bool_type", [bool, np.bool_])
+@pytest.mark.parametrize(
+    "build,kwargs,field",
+    [
+        (SdeConfig, dict(epsilon=True, T=1.0, dt_macro=0.5, N=4), "epsilon"),
+        (FrozenRunConfig, dict(M=4, dt=True, burn_in=0.0, avg_window=1.0), "dt"),
+        (
+            SweepConfig,
+            dict(eps_grid=(True,), mc_reps=4, base_sde=SdeConfig(epsilon=0.1, T=1.0, dt_macro=0.5)),
+            "eps_grid",
+        ),
+        (FilterConfig, dict(Nf=20, resample_threshold=True, functional="one"), "resample_threshold"),
+        (LinearModelParams, dict(gamma=True), "gamma"),
+    ],
+    ids=["SdeConfig.epsilon", "FrozenRunConfig.dt", "SweepConfig.eps_grid",
+         "FilterConfig.resample_threshold", "LinearModelParams.gamma"],
+)
+def test_a_bool_in_a_float_field_is_refused(build, kwargs, field, bool_type):
+    def as_bool_type(v):
+        if isinstance(v, tuple):
+            return tuple(map(as_bool_type, v))
+        return bool_type(v) if isinstance(v, bool) else v
+
+    kwargs = {k: as_bool_type(v) for k, v in kwargs.items()}
+    with pytest.raises(InvalidParams, match=f"{field} must be a number"):
         build(**kwargs)
 
 

@@ -101,6 +101,22 @@ def test_dissipativity_probe_linear():
     assert estimate_dissipativity(ref_model()) == pytest.approx(REF.gamma, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "params", [LinearModelParams(c3=0.0), REF, LinearModelParams(gamma=1.7, c3=0.2)],
+    ids=["c3=0", "defaults", "gamma=1.7"],
+)
+def test_probed_rate_of_an_affine_fast_drift_is_gamma(params):
+    # without linear_params the rate is probed; an ulp above gamma would ask
+    # one substep more than gamma at the cap
+    model = dataclasses.replace(ref_model(params), linear_params=None)
+    rate = sde.contraction_rate(model)
+    assert rate == params.gamma
+    for eps in (0.1, 0.05, 0.02, 0.01, 0.001):
+        assert suggest_micro_substeps(0.01, eps, rate) == suggest_micro_substeps(
+            0.01, eps, params.gamma
+        )
+
+
 # ===== simulate_slow_fast =====
 
 
@@ -338,6 +354,29 @@ def test_one_column_diffusion_is_the_bytes_of_matmul(N):
             want = dw @ sig.T
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_per_particle_diffusion_stacks_give_the_shared_matrix_paths(n):
+    # sigma1 and sigma2 may return one (rows, q) matrix per particle; stacks of
+    # the shared diagonal matrix must step the same paths bit for bit
+    shared = make_linear_model(REF, n=n, m=n, l=n, x0=[1.0] * n, z0=[1.0] * n)
+
+    def stacked(sigma):
+        def per_particle(x, mu, *fast):
+            sig = sigma(x, mu, *fast)
+            return np.broadcast_to(sig, (len(x),) + sig.shape)
+
+        return per_particle
+
+    per_particle = dataclasses.replace(
+        shared, sigma1=stacked(shared.sigma1), sigma2=stacked(shared.sigma2)
+    )
+    cfg = SdeConfig(epsilon=0.1, T=0.2, dt_macro=0.02, micro_substeps=4, N=12, seed=3)
+    assert per_particle.sigma2(np.ones((12, n)), None, None, None).shape == (12, n, n)
+    a, b = simulate_slow_fast(shared, cfg), simulate_slow_fast(per_particle, cfg)
+    assert a.slow.tobytes() == b.slow.tobytes()
+    assert a.fast.tobytes() == b.fast.tobytes()
 
 
 # ===== finiteness of the slow-fast, averaged and auxiliary runs =====
