@@ -34,10 +34,10 @@ from .errors import (
 )
 from . import SCHEMA_VERSION
 from .measure import MeasureSummary
-from .model import LinearModelParams, ModelSpec
-from .sde import FrozenRunConfig, simulate_frozen
+from .model import LinearModelParams, ModelSpec, linear_family
+from .sde import FrozenRunConfig, _frozen_noise, simulate_frozen
 from .serialize import atomic_write_chunks
-from .streams import derive_seed
+from .streams import derive_seed, normal_increments
 
 __all__ = [
     "AveragedDriftOracle",
@@ -45,6 +45,7 @@ __all__ = [
     "ErgodicDecayProfile",
     "FrozenRunConfig",
     "InvariantMoments",
+    "ORACLE_VERSION",
     "analytic_bbar_linear",
     "default_burn_in",
     "ergodic_decay_profile",
@@ -172,18 +173,19 @@ _WINDOW_BLOCK = 64
 
 
 def _window_average(
-    model: ModelSpec, x, mu: MeasureSummary, cfg: FrozenRunConfig, f
+    model: ModelSpec, x, mu: MeasureSummary, cfg: FrozenRunConfig, f, _dw_frozen=None
 ) -> BbarEstimate:
     """Window average of f(x_rows, z_rows) over one frozen run at (x, mu): the
     particle mean at each step from round(burn_in/dt) on, then each column's
     mean, SE and tau_int over those n_samples steps.  The window rule:
-    avg_window holds at least 10 steps of dt."""
+    avg_window holds at least 10 steps of dt.  ``_dw_frozen`` is handed to
+    :func:`simulate_frozen`."""
 
     if cfg.avg_window < 10.0 * cfg.dt:
         raise InsufficientWindow(
             f"avg_window={cfg.avg_window} shorter than 10*dt={10.0 * cfg.dt}"
         )
-    path = simulate_frozen(model, x, mu, cfg)
+    path = simulate_frozen(model, x, mu, cfg, _dw_frozen=_dw_frozen)
     start = int(round(cfg.burn_in / cfg.dt))
     cuts = range(_WINDOW_BLOCK, len(path.times) - start, _WINDOW_BLOCK)
     series = np.concatenate(
@@ -197,12 +199,19 @@ def _window_average(
 
 
 def estimate_bbar(
-    model: ModelSpec, x: np.ndarray, mu: MeasureSummary, cfg: FrozenRunConfig
+    model: ModelSpec,
+    x: np.ndarray,
+    mu: MeasureSummary,
+    cfg: FrozenRunConfig,
+    *,
+    _dw_frozen: Optional[np.ndarray] = None,
 ) -> BbarEstimate:
     """Ergodic-average estimate of the averaged drift at (x, mu): the window
-    average of b1."""
+    average of b1.  ``_dw_frozen`` is private, as in :func:`simulate_frozen`."""
 
-    return _window_average(model, x, mu, cfg, lambda xb, zb: model.b1(xb, mu, zb))
+    return _window_average(
+        model, x, mu, cfg, lambda xb, zb: model.b1(xb, mu, zb), _dw_frozen
+    )
 
 
 def invariant_moments(
@@ -301,17 +310,31 @@ def ergodic_decay_profile(
 
 _MODES = ("estimated", "analytic-linear")
 
+# What a cached cell value is.  Version 1 (never recorded in a cache) ran
+# each cell on its own noise, under a seed derived from the cell key;
+# version 2 runs every cell on the oracle's one frozen block.
+ORACLE_VERSION = 2
+
 
 class AveragedDriftOracle:
     """The estimated averaged drift: (points, mu-summary) -> drift rows.
 
     Evaluations are memoized on quantized (x, mean(mu), second-moment)
-    cells; each cell is estimated at the dequantized cell center under a
-    seed derived from the cell key, so cached values do not depend on
-    evaluation order and two oracles with the same configuration agree
-    bit-for-bit.  The cache only ever applies to the model it was built
-    with; the persisted form records dimensions and the frozen-run
-    configuration, not the coefficient functions.
+    cells.  A cell's value is exactly ``estimate_bbar(model, centre_x,
+    centre_mu, frozen_cfg)`` at the dequantized cell centre: every cell runs
+    on the one frozen noise block that ``simulate_frozen`` draws at
+    ``frozen_cfg``.  The oracle draws that block at its first miss and holds
+    it, the size of one frozen path.  So cached values do not depend on
+    evaluation order, two oracles with the same configuration agree
+    bit-for-bit, and the difference between two cells is exact, free of
+    noise (common random numbers).  The price: the shared noise puts one
+    shared offset into every cell's error, so the errors are correlated, and
+    no one cell's error is smaller than under independent noise.
+
+    The cache only ever applies to the model it was built with; the
+    persisted form records the oracle version (:data:`ORACLE_VERSION`),
+    dimensions and the frozen-run configuration, not the coefficient
+    functions.
     """
 
     def __init__(self, model: ModelSpec, frozen_cfg: FrozenRunConfig, quant: float = 0.05):
@@ -323,19 +346,24 @@ class AveragedDriftOracle:
         self.stats = {"hits": 0, "misses": 0}
         self._cache = {}
         self._lock = threading.Lock()
+        self._noise = None  # the frozen block every cell runs on, drawn at the first miss
 
     # -- cell handling --
 
     def _estimate_cell(self, key: tuple) -> np.ndarray:
-        """estimate_bbar at the cell's centre, under a seed derived from its key."""
+        """estimate_bbar at the cell's centre under the oracle's frozen config,
+        on the oracle's frozen block."""
         n, q = self.model.n, self.quant
         x_rep = np.array(key[:n], dtype=float) * q
         mu_rep = MeasureSummary(
             mean=np.array(key[n:-1], dtype=float) * q, second_moment=float(key[-1] * q)
         )
-        seed = derive_seed(self.frozen_cfg.seed, "cell", *key)
-        cfg = dataclasses.replace(self.frozen_cfg, seed=seed)
-        return estimate_bbar(self.model, x_rep, mu_rep, cfg).value
+        with self._lock:
+            if self._noise is None:
+                self._noise = normal_increments(*_frozen_noise(self.model, self.frozen_cfg))
+                self._noise.flags.writeable = False
+            noise = self._noise
+        return estimate_bbar(self.model, x_rep, mu_rep, self.frozen_cfg, _dw_frozen=noise).value
 
     def __call__(self, x, mu: MeasureSummary) -> np.ndarray:
         pts = np.asarray(x, dtype=float)
@@ -376,6 +404,7 @@ class AveragedDriftOracle:
 
     def _digest(self) -> str:
         payload = {
+            "oracle_version": ORACLE_VERSION,
             "quant": self.quant,
             "frozen_cfg": dataclasses.asdict(self.frozen_cfg),
             "dims": [self.model.n, self.model.m, self.model.l],
@@ -392,6 +421,7 @@ class AveragedDriftOracle:
             ]
         doc = {
             "schema": f"{SCHEMA_VERSION} drift-cache",
+            "oracle_version": ORACLE_VERSION,
             "digest": self._digest(),
             "quant": self.quant,
             "frozen_cfg": dataclasses.asdict(self.frozen_cfg),
@@ -400,10 +430,22 @@ class AveragedDriftOracle:
         atomic_write_chunks(os.fspath(path), (json.dumps(doc, indent=1),))
 
     def load_cache(self, path) -> None:
-        """Add the cells saved at ``path``, or none if any entry is malformed."""
+        """Add the cells saved at ``path``, or none if any entry is malformed.
+
+        A cache of another oracle version holds other values, so it is
+        refused; one that records no version is version 1's, which did not.
+        """
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        if not isinstance(doc, dict) or doc.get("digest") != self._digest():
+        if not isinstance(doc, dict):
+            raise ValidationError("drift cache is not a JSON object")
+        version = doc.get("oracle_version", 1)
+        if version != ORACLE_VERSION:
+            raise ValidationError(
+                f"drift cache holds oracle version {version!r} cells; this oracle "
+                f"is version {ORACLE_VERSION}"
+            )
+        if doc.get("digest") != self._digest():
             raise ValidationError(
                 "drift cache was built for a different frozen-run configuration, "
                 "quantization, or model dimensions"
@@ -438,16 +480,20 @@ def make_drift_oracle(
     Any callable of that signature is a drift for every consumer
     (``simulate_averaged``, ``coupled_pair``, the averaged filter arm and the
     sweeps).  "analytic-linear" is :func:`analytic_bbar_linear` (linear family
-    only); "estimated" is a new, empty :class:`AveragedDriftOracle`, whose
-    cells persist through its ``save_cache`` and ``load_cache``.
+    only, as :func:`~mvx_avgfilter.model.linear_family` reads it); "estimated"
+    is a new, empty :class:`AveragedDriftOracle`, whose cells persist through
+    its ``save_cache`` and ``load_cache``.
     """
 
     if mode not in _MODES:
         raise InvalidParams(f"mode must be one of {_MODES}, got {mode!r}")
     if mode == "analytic-linear":
-        params = model.linear_params
+        params = linear_family(model)
         if params is None:
-            raise UnsupportedModel("closed-form averaged drift requires the linear family")
+            raise UnsupportedModel(
+                "closed-form averaged drift requires the linear family, with the b1, "
+                "sigma1, b2 and sigma2 that make_linear_model built"
+            )
         return lambda x, mu: analytic_bbar_linear(params, x, mu.mean)
     if frozen_cfg is None:
         raise InvalidParams("estimated mode requires a frozen-run configuration")

@@ -33,7 +33,8 @@ from .errors import (
 )
 from .measure import MeasureSummary, summarize_points, systematic_resample_indices
 from .model import (
-    LinearModelParams, ModelSpec, _require_finite, _require_integer, make_linear_model,
+    LinearModelParams, ModelSpec, _require_finite, _require_integer, linear_family,
+    make_linear_model,
 )
 from .sde import (
     PathEnsemble,
@@ -478,9 +479,12 @@ def kalman_oracle(model: ModelSpec, obs: ObservationPath) -> KalmanTrajectory:
     left-endpoint likelihood convention.
     """
 
-    p = model.linear_params
+    p = linear_family(model)
     if p is None or model.n != 1:
-        raise UnsupportedModel("Kalman oracle covers only the scalar linear family")
+        raise UnsupportedModel(
+            "Kalman oracle covers only the scalar linear family, with the b1, sigma1, "
+            "b2 and sigma2 that make_linear_model built"
+        )
     if p.a12 != 0.0 or p.a13 != 0.0:
         raise UnsupportedModel(
             "Kalman oracle needs a12 = a13 = 0 (no mean-field or fast coupling in the slow)"

@@ -198,7 +198,27 @@ def make_linear_model(
         linear_params=params,
     )
     _require_finite(spec, ("x0", "z0"))
+    # dataclasses.replace keeps linear_params when it swaps a map, so each map
+    # carries the params it evaluates, for linear_family to check
+    for fn in (b1, sigma1, b2, sigma2):
+        fn.linear_params = p
     return spec
+
+
+def linear_family(model: ModelSpec) -> Optional[LinearModelParams]:
+    """``model.linear_params`` when b1, sigma1, b2 and sigma2 are the maps
+    :func:`make_linear_model` built for those params, else None: the params
+    a closed form of the linear family may read.
+
+    h is not checked, since no closed form reads it (the linear sensor model
+    swaps it).  A ``functools.wraps`` wrapper of a map, which copies the
+    map's attributes, stands for the map it wraps.
+    """
+    p = model.linear_params
+    maps = (model.b1, model.sigma1, model.b2, model.sigma2)
+    if p is None or any(getattr(fn, "linear_params", None) is not p for fn in maps):
+        return None
+    return p
 
 
 def _sigma_rows(sig: np.ndarray, count: int, d: int) -> np.ndarray:

@@ -19,7 +19,9 @@ whole, but takes its fast block (micro_substeps times longer) one macro step
 at a time through the one block reader, ``streams._increment_groups``, which
 draws it in bounded chunks by the chunk rule of the ``streams`` module
 docstring, so the fast noise it holds does not grow with the run length; the
-frozen run takes its block through the same reader, one row a step.
+frozen run takes its block through the same reader, one row a step, unless
+it is handed the block whole (the estimated drift oracle holds one for all
+its cells).
 """
 
 from __future__ import annotations
@@ -344,6 +346,11 @@ def _fast_noise(model: ModelSpec, cfg: SdeConfig, label: str, count: int) -> tup
     )
 
 
+def _frozen_noise(model: ModelSpec, cfg: FrozenRunConfig) -> tuple:
+    """normal_increments arguments of a frozen run's block, one row per step."""
+    return (cfg.seed, FROZEN_LABEL, cfg.n_steps, cfg.M, model.m, math.sqrt(cfg.dt))
+
+
 def _fast_increments(model: ModelSpec, cfg: SdeConfig, label: str, count: int) -> tuple:
     """(dws, h, noise_scale): ``dws`` iterates over the :func:`_fast_noise`
     block one macro step at a time, each a (micro_substeps, count, m) view of
@@ -400,11 +407,15 @@ def simulate_frozen(
     mu: MeasureSummary,
     cfg: FrozenRunConfig,
     z0: Optional[np.ndarray] = None,
+    *,
+    _dw_frozen: Optional[np.ndarray] = None,
 ) -> PathEnsemble:
     """Run the fast equation with slow input and law pinned at (x, mu).
 
     The ensemble's own empirical law feeds the self-interaction term and is
-    recomputed every step (unit time scale, no substepping).
+    recomputed every step (unit time scale, no substepping).  ``_dw_frozen``
+    is private: the estimated drift oracle passes the :func:`_frozen_noise`
+    block it holds, which is exactly the one read here otherwise.
     """
 
     z0 = model.z0 if z0 is None else z0
@@ -422,7 +433,10 @@ def simulate_frozen(
     times = np.arange(n_steps + 1) * dt
     x_frozen = _tile_state(x, cfg.M)
     z = _tile_state(z0, cfg.M)
-    dws = _increment_groups(cfg.seed, FROZEN_LABEL, n_steps, cfg.M, model.m, math.sqrt(dt), 1)
+    if _dw_frozen is None:
+        dws = _increment_groups(*_frozen_noise(model, cfg), 1)
+    else:
+        dws = _dw_frozen.reshape(n_steps, 1, cfg.M, model.m)
 
     what = "frozen fast state"
     fast = np.empty((n_steps + 1,) + z.shape)

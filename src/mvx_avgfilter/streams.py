@@ -28,17 +28,18 @@ draws here.
 A long block need not be held whole. Every run that steps through a block
 reads it through one reader, ``_increment_groups``, a group of rows at a
 time: the simulators and the filter their fast blocks, a group being one
-macro step's substep rows, and the frozen run its block, one row a group.
-Behind the reader a block is drawn in chunks of whole groups. **The chunk
-rule:** a block of ``steps`` rows splits into ``max(1, min(groups, steps //
-512))`` chunks, as equal as the groups allow, so a chunk holds fewer than
-about 1024 draws per stream, or a single group when one group is larger than
-that. Its size depends on the number of streams but not on the run length.
-Between chunks each stream's Philox state is kept and resumed, so the chunks
-are byte for byte the slices of the whole block: the stream layout does not
-change. A block of one chunk is a plain ``normal_increments`` call, and a
-longer one that the helper has drawn ahead is read from the helper's whole
-block.
+macro step's substep rows, and the frozen run its block, one row a group
+(an estimated drift oracle draws the block whole once and hands it to each
+of its cells' frozen runs instead). Behind the reader a block is drawn in
+chunks of whole groups. **The chunk rule:** a block of ``steps`` rows
+splits into ``max(1, min(groups, steps // 512))`` chunks, as equal as the
+groups allow, so a chunk holds fewer than about 1024 draws per stream, or a
+single group when one group is larger than that. Its size depends on the
+number of streams but not on the run length. Between chunks each stream's
+Philox state is kept and resumed, so the chunks are byte for byte the slices
+of the whole block: the stream layout does not change. A block of one chunk
+is a plain ``normal_increments`` call, and a longer one that the helper has
+drawn ahead is read from the helper's whole block.
 
 A run reads each row once, in order. **A caller must not read rows it has
 stepped past:** where the helper drew the block, their whole pages are freed

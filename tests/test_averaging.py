@@ -9,13 +9,17 @@ frozen equation decouples, and ensemble-mean relaxation rate gamma - c3.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from mvx_avgfilter import SCHEMA_VERSION, averaging
 from mvx_avgfilter.averaging import (
+    ORACLE_VERSION,
     AveragedDriftOracle,
     BbarEstimate,
     ErgodicDecayProfile,
@@ -37,7 +41,7 @@ from mvx_avgfilter.errors import (
 from mvx_avgfilter.measure import MeasureSummary, dirac_summary, summarize_points
 from mvx_avgfilter.model import LinearModelParams, ModelSpec, make_linear_model
 from mvx_avgfilter.sde import FrozenRunConfig, simulate_frozen
-from mvx_avgfilter.streams import derive_seed
+from mvx_avgfilter.streams import normal_increments
 
 REF = LinearModelParams()
 
@@ -366,6 +370,48 @@ def test_oracle_analytic_rejects_nonlinear():
         make_drift_oracle(model, mode="analytic-linear")
 
 
+def test_closed_form_refuses_a_linear_model_with_a_swapped_coefficient():
+    # the linear family at c3 = 0 with b1 = a11*x + a13*z^2; dataclasses.replace keeps
+    # linear_params
+    p = LinearModelParams(c3=0.0)
+    z_squared = make_linear_model(p, n=1, m=1, l=1, x0=[1.0], z0=[1.0])
+    model = dataclasses.replace(z_squared, b1=lambda x, mu, z: p.a11 * x + p.a13 * z * z)
+    # z is N(c1*x/gamma, s2^2/(2*gamma)) with x frozen, so the exact averaged drift at
+    # x = 2 is a11*2 + a13*(1 + 1/4) = -0.75; the linear closed form reads -1.0 there
+    x = np.array([2.0])
+    assert p.a11 * 2.0 + p.a13 * ((p.c1 * 2.0 / p.gamma) ** 2 + p.s2**2 / (2 * p.gamma)) == -0.75
+    assert analytic_bbar_linear(p, x, np.zeros(1))[0] == -1.0
+    with pytest.raises(UnsupportedModel, match="b1, sigma1, b2 and sigma2 that make_linear_model"):
+        make_drift_oracle(model, mode="analytic-linear")
+    base = ref_model()
+    for name in ("sigma1", "b2", "sigma2"):
+        original = getattr(base, name)
+        swapped = dataclasses.replace(base, **{name: lambda *args: original(*args)})
+        with pytest.raises(UnsupportedModel):
+            make_drift_oracle(swapped, mode="analytic-linear")
+    # another family member's map evaluates other params
+    other = make_linear_model(LinearModelParams(a11=-2.0), n=1, m=1, l=1, x0=[1.0], z0=[1.0])
+    with pytest.raises(UnsupportedModel):
+        make_drift_oracle(dataclasses.replace(base, b1=other.b1), mode="analytic-linear")
+
+
+def test_closed_form_keeps_a_replaced_sensor_and_a_wrapped_coefficient():
+    base = ref_model()
+    mu = dirac_summary([0.3])
+    want = analytic_bbar_linear(REF, np.array([0.5]), mu.mean).tobytes()
+
+    @functools.wraps(base.b2)
+    def b2(*args):  # a call counter or profiler wraps a map like this
+        return base.b2(*args)
+
+    for model in (
+        dataclasses.replace(base, h=lambda x, mu: 2.0 * x),
+        dataclasses.replace(base, b2=b2),
+    ):
+        drift = make_drift_oracle(model, mode="analytic-linear")
+        assert drift(np.array([0.5]), mu).tobytes() == want
+
+
 @pytest.mark.parametrize("quant", [0.0, -0.05, math.nan, math.inf])
 def test_oracle_refuses_a_quant_that_is_not_finite_and_positive(quant):
     for build in (
@@ -394,19 +440,62 @@ def test_oracle_cache_hits_are_bit_exact():
     assert np.array_equal(first, second)
 
 
-def test_oracle_cell_is_estimate_bbar_at_its_centre_under_its_derived_seed():
+def test_oracle_cell_is_estimate_bbar_at_its_centre_under_the_oracles_own_frozen_config():
     model = ref_model()
     cfg = frozen_cfg(M=100)
+    mu = summarize_points(np.array([[0.12], [0.31]]))  # mean 0.215, second moment 0.05525
+    key = (10, 4, 1)  # rint of 0.52, 0.215 and 0.05525 over the quant 0.05
+    centre = MeasureSummary(mean=np.array([4 * 0.05]), second_moment=1 * 0.05)
+    want = estimate_bbar(model, np.array([10 * 0.05]), centre, cfg).value
     oracle = make_drift_oracle(model, mode="estimated", frozen_cfg=cfg, quant=0.05)
     assert isinstance(oracle, AveragedDriftOracle)
-    mu = summarize_points(np.array([[0.12], [0.31]]))  # mean 0.215, second moment 0.05525
     got = oracle(np.array([0.52]), mu)
-    key = (10, 4, 1)  # rint of 0.52, 0.215 and 0.05525 over the quant 0.05
     assert list(oracle._cache) == [key]
-    centre = MeasureSummary(mean=np.array([4 * 0.05]), second_moment=1 * 0.05)
-    seeded = dataclasses.replace(cfg, seed=derive_seed(cfg.seed, "cell", *key))
-    want = estimate_bbar(model, np.array([10 * 0.05]), centre, seeded).value
     assert got.tobytes() == want.tobytes()
+
+    # cells filled one per call and many per call, in either order, are each
+    # estimate_bbar at their centre under the oracle's own config
+    rows = np.array([[0.52], [-0.31], [1.07], [0.0], [0.74]])
+    one_by_one = make_drift_oracle(model, mode="estimated", frozen_cfg=cfg, quant=0.05)
+    for row in rows[::-1]:
+        one_by_one(row, mu)
+    many = make_drift_oracle(model, mode="estimated", frozen_cfg=cfg, quant=0.05)
+    many(rows, mu)
+    assert sorted(one_by_one._cache) == sorted(many._cache)
+    assert len(many._cache) == len(rows)
+    for key in many._cache:
+        centre_x = np.array(key[:1], dtype=float) * 0.05
+        centre = MeasureSummary(mean=np.array([key[1] * 0.05]), second_moment=key[2] * 0.05)
+        want = estimate_bbar(model, centre_x, centre, cfg).value.tobytes()
+        assert many._cache[key].tobytes() == one_by_one._cache[key].tobytes() == want
+
+
+def test_estimated_cells_are_the_closed_form_plus_the_burn_in_transient_plus_one_constant():
+    # Every cell runs on the oracle's one frozen block, and each particle update
+    # of the linear family is affine in (x, mean(mu)). So the ensemble mean is
+    # m_k = m* + r^k (z0 - m*) + N_k, with r = 1 - (gamma - c3) dt,
+    # m* = (c1 x + c2 mean(mu))/(gamma - c3) and a noise part N_k that no cell
+    # changes; b-hat - b-bar is then the burn-in transient
+    # D = a13 (z0 - m*) mean_window r^k plus the one constant a13 mean_window N_k.
+    p = REF
+    model = ref_model()
+    cfg = FrozenRunConfig(M=200, dt=0.01, burn_in=default_burn_in(p), avg_window=5.0, seed=101)
+    oracle = make_drift_oracle(model, mode="estimated", frozen_cfg=cfg, quant=0.05)
+    xs = np.arange(-6, 18).reshape(-1, 1) * 0.05  # 24 cells in x
+    for points in ([[0.4], [0.6]], [[1.1], [1.3]]):  # two cells of mean(mu)
+        oracle(xs, summarize_points(np.array(points)))
+    assert len(oracle._cache) == 48
+    keys = np.array(sorted(oracle._cache), dtype=float)
+    est = np.array([oracle._cache[tuple(int(k) for k in key)][0] for key in keys])
+    x, mu_mean = keys[:, 0] * 0.05, keys[:, 1] * 0.05
+    window = np.arange(round(cfg.burn_in / cfg.dt), cfg.n_steps + 1)
+    factor = np.mean((1.0 - (p.gamma - p.c3) * cfg.dt) ** window)
+    assert factor == pytest.approx(1.0659e-2, rel=1e-4)  # at default_burn_in
+    m_star = (p.c1 * x + p.c2 * mu_mean) / (p.gamma - p.c3)
+    transient = p.a13 * (model.z0[0] - m_star) * factor
+    offset = est - analytic_bbar_linear(p, x, mu_mean) - transient
+    assert np.ptp(offset) <= 1e-12
+    assert np.ptp(transient) > 1e-3  # the transient moves across the cells
 
 
 def test_oracle_quantization_snaps_nearby_points():
@@ -491,6 +580,63 @@ def test_oracle_persistence_rejects_mismatched_cfg(tmp_path):
         b.load_cache(path)
 
 
+def test_oracle_cache_records_its_version_under_the_digest(tmp_path):
+    model = ref_model()
+    path = tmp_path / "cache.json"
+    a = make_drift_oracle(model, mode="estimated", frozen_cfg=frozen_cfg())
+    a(np.array([[0.0]]), dirac_summary([0.0]))
+    a.save_cache(path)
+    doc = json.loads(path.read_text())
+    assert doc["oracle_version"] == ORACLE_VERSION == 2
+    payload = {"oracle_version": 2, "quant": 0.05, "dims": [1, 1, 1],
+               "frozen_cfg": dataclasses.asdict(frozen_cfg())}
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+    assert doc["digest"] == digest
+
+
+def version1_cache(path, cfg, entries):
+    """A drift cache in the format oracle version 1 wrote: no oracle_version,
+    and a digest of the quantization, frozen config and dimensions alone."""
+    payload = {"quant": 0.05, "frozen_cfg": dataclasses.asdict(cfg), "dims": [1, 1, 1]}
+    doc = {
+        "schema": f"{SCHEMA_VERSION} drift-cache",
+        "digest": hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest(),
+        "quant": 0.05,
+        "frozen_cfg": dataclasses.asdict(cfg),
+        "entries": entries,
+    }
+    path.write_text(json.dumps(doc, indent=1))
+
+
+def test_oracle_refuses_a_version_1_cache(tmp_path):
+    model = ref_model()
+    path = tmp_path / "cache.json"
+    version1_cache(path, frozen_cfg(), [{"key": [0, 0, 0], "value": [0.25]}])
+    oracle = make_drift_oracle(model, mode="estimated", frozen_cfg=frozen_cfg())
+    with pytest.raises(ValidationError, match="oracle version 1 cells; this oracle is version 2"):
+        oracle.load_cache(path)
+    assert oracle._cache == {}
+
+
+@pytest.mark.parametrize("version", [1, 3, "2", None])
+def test_oracle_refuses_a_cache_of_another_version(tmp_path, version):
+    model = ref_model()
+    path = tmp_path / "cache.json"
+    a = make_drift_oracle(model, mode="estimated", frozen_cfg=frozen_cfg())
+    a(np.array([[0.0]]), dirac_summary([0.0]))
+    a.save_cache(path)
+    doc = json.loads(path.read_text())
+    doc["oracle_version"] = version
+    path.write_text(json.dumps(doc))
+    oracle = make_drift_oracle(model, mode="estimated", frozen_cfg=frozen_cfg())
+    with pytest.raises(ValidationError, match=f"version {version!r} cells; this oracle is version 2"):
+        oracle.load_cache(path)
+    path.write_text(json.dumps([doc]))
+    with pytest.raises(ValidationError, match="not a JSON object"):
+        oracle.load_cache(path)
+    assert oracle._cache == {}
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -535,3 +681,35 @@ def test_oracle_thread_safety():
     serial = make_drift_oracle(model, mode="estimated", frozen_cfg=frozen_cfg(M=100))
     for p, r in zip(xs, results):
         assert np.array_equal(r, serial(p, mu))
+
+
+def test_cold_oracle_draws_its_frozen_block_once_under_racing_misses(monkeypatch):
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return normal_increments(*args)
+
+    monkeypatch.setattr(averaging, "normal_increments", counted)
+    model = ref_model()
+    cfg = FrozenRunConfig(M=20, dt=0.05, burn_in=0.5, avg_window=1.0, seed=9)
+    oracle = make_drift_oracle(model, mode="estimated", frozen_cfg=cfg)
+    mu = dirac_summary([0.0])
+    xs = [np.array([[0.05 * (i % 12)]]) for i in range(48)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(oracle, p, mu) for p in xs]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(draws) == 1  # one block for every cell, however the misses raced
+    assert len(oracle._cache) == 12
+    assert oracle.stats["hits"] + oracle.stats["misses"] == 48
+    for p, r in zip(xs, results):
+        centre = np.rint(p[0] / 0.05) * 0.05
+        assert r.tobytes() == estimate_bbar(model, centre, dirac_summary([0.0]), cfg).value.tobytes()

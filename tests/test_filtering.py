@@ -471,6 +471,21 @@ def test_kalman_rejects_unsupported_models():
         kalman_oracle(model, obs)
 
 
+@pytest.mark.parametrize("name", ["b1", "sigma1", "b2", "sigma2"])
+def test_kalman_refuses_a_sensor_model_with_a_swapped_coefficient(name):
+    # dataclasses.replace keeps linear_params; the recursion would read the old a11 and s1
+    model = sensor_model()
+    obs = make_sensor_obs(model)
+    original = getattr(model, name)
+    swapped = dataclasses.replace(model, **{name: lambda *args: original(*args)})
+    with pytest.raises(UnsupportedModel, match="that make_linear_model built"):
+        kalman_oracle(swapped, obs)
+    # the sensor model's own swapped h is allowed; a model without linear_params is refused
+    assert kalman_oracle(model, obs).mean[0] == 1.0
+    with pytest.raises(UnsupportedModel):
+        kalman_oracle(dataclasses.replace(model, linear_params=None), obs)
+
+
 # ===== discrepancy =====
 
 
