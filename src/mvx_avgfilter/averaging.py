@@ -316,6 +316,41 @@ _MODES = ("estimated", "analytic-linear")
 ORACLE_VERSION = 2
 
 
+class _CellCentre(MeasureSummary):
+    """A cell centre's law summary that records whether its second moment was read."""
+
+    __slots__ = ("second_read",)
+
+    def __init__(self, mean: np.ndarray, second_moment: float):
+        super().__init__(mean, second_moment)
+        self.second_read = False
+
+    @property
+    def second_moment(self) -> float:
+        self.second_read = True
+        return self._second
+
+
+class _Estimate:
+    """A cell estimate one thread runs while others wait for its value or error."""
+
+    __slots__ = ("_done", "value", "error")
+
+    def __init__(self):
+        self._done = threading.Event()
+        self.value = self.error = None
+
+    def finish(self, value=None, error=None) -> None:
+        self.value, self.error = value, error
+        self._done.set()
+
+    def result(self) -> np.ndarray:
+        self._done.wait()
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
 class AveragedDriftOracle:
     """The estimated averaged drift: (points, mu-summary) -> drift rows.
 
@@ -331,6 +366,13 @@ class AveragedDriftOracle:
     shared offset into every cell's error, so the errors are correlated, and
     no one cell's error is smaller than under independent noise.
 
+    Cells that differ only in the second-moment entry share one frozen run
+    when the estimate never reads the centre's second moment (the linear
+    family never does): the run then never sees the one input in which the
+    cells differ, so each of them would get its value, bit for bit.  A cell
+    whose estimate reads it runs its own.  Cells added by ``load_cache``
+    share nothing: the oracle did not see what their runs read.
+
     The cache only ever applies to the model it was built with; the
     persisted form records the oracle version (:data:`ORACLE_VERSION`),
     dimensions and the frozen-run configuration, not the coefficient
@@ -345,6 +387,10 @@ class AveragedDriftOracle:
             raise InvalidParams(f"quant must be finite and positive, got {quant!r}")
         self.stats = {"hits": 0, "misses": 0}
         self._cache = {}
+        # (x key, mean key) -> the value of a cell whose estimate never read
+        # the second moment, for every cell that differs from it only there
+        self._shared = {}
+        self._running = {}  # cell key -> the _Estimate one thread is running for it
         self._lock = threading.Lock()
         self._noise = None  # the frozen block every cell runs on, drawn at the first miss
 
@@ -352,18 +398,21 @@ class AveragedDriftOracle:
 
     def _estimate_cell(self, key: tuple) -> np.ndarray:
         """estimate_bbar at the cell's centre under the oracle's frozen config,
-        on the oracle's frozen block."""
+        on the oracle's frozen block.  If it never read the centre's second
+        moment, its value is filed for the cells that differ only there."""
         n, q = self.model.n, self.quant
         x_rep = np.array(key[:n], dtype=float) * q
-        mu_rep = MeasureSummary(
-            mean=np.array(key[n:-1], dtype=float) * q, second_moment=float(key[-1] * q)
-        )
+        centre = _CellCentre(np.array(key[n:-1], dtype=float) * q, float(key[-1] * q))
         with self._lock:
             if self._noise is None:
                 self._noise = normal_increments(*_frozen_noise(self.model, self.frozen_cfg))
                 self._noise.flags.writeable = False
             noise = self._noise
-        return estimate_bbar(self.model, x_rep, mu_rep, self.frozen_cfg, _dw_frozen=noise).value
+        value = estimate_bbar(self.model, x_rep, centre, self.frozen_cfg, _dw_frozen=noise).value
+        if not centre.second_read:
+            with self._lock:
+                self._shared[key[:-1]] = value
+        return value
 
     def __call__(self, x, mu: MeasureSummary) -> np.ndarray:
         pts = np.asarray(x, dtype=float)
@@ -374,8 +423,9 @@ class AveragedDriftOracle:
     def _lookup(self, rows: np.ndarray, mu: MeasureSummary) -> np.ndarray:
         """Cached cell values for every row, one cache lookup per distinct cell.
 
-        Each newly estimated cell counts one miss; every other row counts a
-        hit, so hits + misses equals the number of rows.
+        Each new cell counts one miss, whether a frozen run or a shared
+        estimate fills it; every other row counts a hit, so hits + misses
+        equals the number of rows.
         """
         q = self.quant
         mu_key = tuple(np.rint(mu.mean / q).astype(int).tolist())
@@ -386,19 +436,46 @@ class AveragedDriftOracle:
         counts = np.bincount(inverse.reshape(-1), minlength=len(row_keys)).tolist()
         values = np.empty((len(row_keys), rows.shape[1]))
         for j, row_key in enumerate(row_keys.tolist()):
-            key = tuple(row_key) + mu_key
-            with self._lock:
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self.stats["hits"] += counts[j]
-            if cached is None:
-                value = self._estimate_cell(key)
-                with self._lock:
-                    cached = self._cache.setdefault(key, value)
-                    self.stats["misses"] += 1
-                    self.stats["hits"] += counts[j] - 1
-            values[j] = cached
+            values[j] = self._cell(tuple(row_key) + mu_key, counts[j])
         return values[inverse.reshape(-1)]
+
+    def _cell(self, key: tuple, rows: int) -> np.ndarray:
+        """The value of cell ``key``, looked up for ``rows`` rows.
+
+        A cell being estimated by another thread is waited for and counts
+        hits only; if that estimate raises, the error reaches every waiter.
+        """
+        with self._lock:
+            value = self._cache.get(key)
+            running = self._running.get(key)
+            if value is None and running is None:
+                value = self._shared.get(key[:-1])
+                if value is None:
+                    self._running[key] = _Estimate()
+                else:
+                    self._cache[key] = value
+                    self.stats["misses"] += 1
+                    rows -= 1
+            if value is not None:
+                self.stats["hits"] += rows
+                return value
+        if running is not None:
+            value = running.result()
+            with self._lock:
+                self.stats["hits"] += rows
+            return value
+        try:
+            value = self._estimate_cell(key)
+        except BaseException as exc:
+            with self._lock:
+                self._running.pop(key).finish(error=exc)
+            raise
+        with self._lock:
+            self._cache[key] = value
+            self.stats["misses"] += 1
+            self.stats["hits"] += rows - 1
+            self._running.pop(key).finish(value)
+        return value
 
     # -- persistence --
 

@@ -12,6 +12,12 @@ leading batch axis: x has shape (..., n), z has shape (..., m), and the
 returned arrays keep the leading axes. Diffusions may return either a
 shared (d, d) matrix or a batched (..., d, d) stack.
 
+Coefficients are deterministic in their arguments and read a law's second
+moment only through ``MeasureSummary.second_moment``, never through its
+``_second`` slot. The estimated drift oracle relies on this: a frozen run
+that never read that property gives the same value at every second moment,
+so the oracle shares it between cells that differ only there.
+
 The built-in linear family (affine drifts, constant diagonal diffusions,
 bounded tanh sensor) has closed-form averaged dynamics and known
 dissipativity constants, which makes it the reference model for every

@@ -713,3 +713,159 @@ def test_cold_oracle_draws_its_frozen_block_once_under_racing_misses(monkeypatch
     for p, r in zip(xs, results):
         centre = np.rint(p[0] / 0.05) * 0.05
         assert r.tobytes() == estimate_bbar(model, centre, dirac_summary([0.0]), cfg).value.tobytes()
+
+
+def counted_estimates(monkeypatch, before=None):
+    """Record the arguments of every estimate_bbar call the oracles make;
+    ``before`` runs first on each call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        if before is not None:
+            before()
+        return estimate_bbar(*args, **kwargs)
+
+    monkeypatch.setattr(averaging, "estimate_bbar", counted)
+    return calls
+
+
+def test_racing_misses_of_one_cell_run_one_estimate_and_count_one_miss(monkeypatch):
+    import sys
+    import time
+    from concurrent.futures import ThreadPoolExecutor
+
+    calls = counted_estimates(monkeypatch, before=lambda: time.sleep(0.05))
+    model = ref_model()
+    cfg = FrozenRunConfig(M=20, dt=0.05, burn_in=0.5, avg_window=1.0, seed=9)
+    oracle = make_drift_oracle(model, mode="estimated", frozen_cfg=cfg)
+    mu = dirac_summary([0.0])
+    xs = [np.array([[0.05 * (i % 12)]]) for i in range(48)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(oracle, p, mu) for p in xs]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    # a thread that finds its cell being estimated waits for it and counts a hit
+    assert len(calls) == 12
+    assert oracle.stats["misses"] == 12
+    assert oracle.stats["hits"] + oracle.stats["misses"] == 48
+    assert not oracle._running
+    for p, r in zip(xs, results):
+        centre = np.rint(p[0] / 0.05) * 0.05
+        assert r.tobytes() == estimate_bbar(model, centre, mu, cfg).value.tobytes()
+
+
+def test_an_estimate_that_raises_reaches_every_thread_waiting_on_its_cell(monkeypatch):
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    waiting = threading.Semaphore(0)
+
+    class CountedWaits(averaging._Estimate):
+        def result(self):
+            waiting.release()
+            return super().result()
+
+    def fail():
+        # raise only once the other seven threads wait on this cell
+        for _ in range(7):
+            assert waiting.acquire(timeout=30)
+        raise FitFailure("the estimate failed")
+
+    monkeypatch.setattr(averaging, "_Estimate", CountedWaits)
+    calls = counted_estimates(monkeypatch, before=fail)
+    cfg = FrozenRunConfig(M=20, dt=0.05, burn_in=0.5, avg_window=1.0, seed=9)
+    oracle = make_drift_oracle(ref_model(), mode="estimated", frozen_cfg=cfg)
+    mu = dirac_summary([0.0])
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        futures = [pool.submit(oracle, np.array([[0.5]]), mu) for _ in range(8)]
+        for f in futures:
+            with pytest.raises(FitFailure, match="the estimate failed"):
+                f.result(timeout=60)
+    assert len(calls) == 1
+    assert oracle.stats == {"hits": 0, "misses": 0}
+    assert not oracle._cache and not oracle._running
+
+    # the failed cell is not cached: the next lookup estimates it again
+    monkeypatch.setattr(averaging, "estimate_bbar", estimate_bbar)
+    want = estimate_bbar(ref_model(), np.array([0.5]), mu, cfg).value
+    assert oracle(np.array([0.5]), mu).tobytes() == want.tobytes()
+    assert oracle.stats == {"hits": 0, "misses": 1}
+
+
+def test_the_benchmark_oracle_fills_121_cells_from_63_frozen_runs(monkeypatch):
+    # the oracle-estimated benchmark workload at seed 101: its law visits 121
+    # cells but only 63 (x, mean) pairs, and the linear family never reads the
+    # second moment, so each pair's first run fills the pair's other cells
+    from mvx_avgfilter.sde import SdeConfig, simulate_averaged
+
+    calls = counted_estimates(monkeypatch)
+    model = ref_model()
+    cfg = FrozenRunConfig(M=200, dt=0.01, burn_in=default_burn_in(REF), avg_window=5.0, seed=101)
+    oracle = make_drift_oracle(model, mode="estimated", frozen_cfg=cfg, quant=0.05)
+    run_cfg = SdeConfig(epsilon=0.1, T=0.4, dt_macro=0.01, micro_substeps=1, N=200, seed=0)
+    simulate_averaged(model, oracle, run_cfg)
+    assert oracle.stats["misses"] == len(oracle._cache) == 121
+    assert oracle.stats["hits"] + oracle.stats["misses"] == run_cfg.n_steps * run_cfg.N
+    assert len(calls) == len({key[:-1] for key in oracle._cache}) == 63
+    for key, value in oracle._cache.items():
+        centre = MeasureSummary(mean=np.array([key[1] * 0.05]), second_moment=key[2] * 0.05)
+        want = estimate_bbar(model, np.array([key[0] * 0.05]), centre, cfg).value
+        assert value.tobytes() == want.tobytes()
+
+
+def second_moment_model(c):
+    """The reference model with c * second_moment(mu) added to b2."""
+    base = ref_model()
+
+    def b2(x, mu, z, nu):
+        return base.b2(x, mu, z, nu) + c * mu.second_moment
+
+    return dataclasses.replace(base, b2=b2)
+
+
+# two laws of mean 0.5 and second moments 0.26 and 0.34: cells 5 and 7
+SAME_MEAN = (summarize_points(np.array([[0.4], [0.6]])), summarize_points(np.array([[0.2], [0.8]])))
+
+
+@pytest.mark.parametrize("c", [0.3, 0.0])
+def test_an_estimate_that_read_the_second_moment_shares_its_run_with_no_other_cell(
+    monkeypatch, c
+):
+    # the rule is whether the estimate read the second moment, not whether
+    # the value moved with it: at c = 0 it still reads it, so no cell shares
+    calls = counted_estimates(monkeypatch)
+    model = second_moment_model(c)
+    oracle = make_drift_oracle(model, mode="estimated", frozen_cfg=frozen_cfg(M=100))
+    xs = np.array([[0.0], [0.5], [1.0]])
+    first, second = (oracle(xs, mu) for mu in SAME_MEAN)
+    assert sorted({key[-1] for key in oracle._cache}) == [5, 7]
+    assert len(calls) == oracle.stats["misses"] == len(oracle._cache) == 6
+    if c:
+        assert np.all(first != second)
+    else:
+        assert np.array_equal(first, second)
+
+
+def test_cells_a_cache_load_adds_share_no_run(monkeypatch, tmp_path):
+    path = tmp_path / "cache.json"
+    x = np.array([0.5])
+    cold = make_drift_oracle(ref_model(), mode="estimated", frozen_cfg=frozen_cfg(M=100))
+    cold(x, SAME_MEAN[0])
+    cold.save_cache(path)
+
+    calls = counted_estimates(monkeypatch)
+    warm = make_drift_oracle(ref_model(), mode="estimated", frozen_cfg=frozen_cfg(M=100))
+    warm.load_cache(path)
+    warm(x, SAME_MEAN[0])  # a loaded cell: a hit, no run
+    assert len(calls) == 0 and warm.stats == {"hits": 1, "misses": 0}
+    got = warm(x, SAME_MEAN[1])  # same (x, mean), other second moment: its own run
+    assert len(calls) == 1 and warm.stats == {"hits": 1, "misses": 1}
+    assert got.tobytes() == cold(x, SAME_MEAN[1]).tobytes()
+    # from that run, which the warm oracle saw read nothing, a third cell shares
+    warm(x, summarize_points(np.array([[0.0], [1.0]])))  # second moment 0.5: cell 10
+    assert len(calls) == 1 and warm.stats == {"hits": 1, "misses": 2}
